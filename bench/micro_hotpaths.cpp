@@ -1,19 +1,25 @@
 // Microbenchmarks (google-benchmark) for the simulator's hot paths: the
-// event queue, greedy forwarding, the strategy math, and a full small
-// flow replay. These bound the cost of scaling experiments up.
+// event queue, the medium's broadcast fan-out and the neighbor table (the
+// three layers a HELLO reception crosses, DESIGN.md §12), greedy
+// forwarding, the strategy math, and a full small flow replay. These bound
+// the cost of scaling experiments up.
 //
 // `--json PATH` (stripped before google-benchmark sees the argv) exports
 // the per-benchmark timings as a BENCH_micro.json SweepReport artifact so
 // CI can archive them next to the figure artifacts.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/imobif.hpp"
 #include "exp/experiments.hpp"
+#include "net/neighbor_table.hpp"
+#include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
@@ -23,20 +29,91 @@ using namespace imobif;
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  // Times are drawn once, outside the timed loop: the benchmark measures
+  // the queue, not the generator.
   util::Rng rng(1);
+  std::vector<sim::Time> times;
+  for (std::size_t i = 0; i < n; ++i) {
+    times.push_back(sim::Time::from_ticks(
+        static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20))));
+  }
   for (auto _ : state) {
     sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(sim::Time::from_ticks(
-                     static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20))),
-                 [] {});
+      q.schedule(times[i], sim::EventTag::hello_tick(i));
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().when.ticks());
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop().tag.a);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(256)->Arg(4096);
+
+/// A network at beacon_scale's density (100 nodes per km², 180 m range:
+/// about ten neighbors each) with no beaconing started, for driving single
+/// transmissions by hand.
+std::unique_ptr<net::Network> beacon_density_network(std::size_t nodes) {
+  net::NetworkConfig config;
+  config.medium.comm_range_m = 180.0;
+  config.node.charge_hello_energy = false;
+  auto network = std::make_unique<net::Network>(config);
+  const double side = 1000.0 * std::sqrt(static_cast<double>(nodes) / 100.0);
+  util::Rng rng(11);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    network->add_node({rng.uniform(0.0, side), rng.uniform(0.0, side)},
+                      util::Joules{2000.0});
+  }
+  return network;
+}
+
+/// One HELLO from a rotating sender, fanned out by the medium and received
+/// by every neighbor: broadcast, delivery scheduling, dispatch, the packet
+/// slab, handle_receive and the neighbor-table refresh. Items are
+/// deliveries.
+void BM_MediumBroadcastFanout(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const std::unique_ptr<net::Network> network = beacon_density_network(nodes);
+  sim::Simulator& sim = network->simulator();
+  const std::uint64_t delivered_before = network->medium().counters().delivered;
+  std::size_t sender = 0;
+  for (auto _ : state) {
+    network->node(static_cast<net::NodeId>(sender)).send_hello_now();
+    sim.run();
+    sender = (sender + 7919) % nodes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      network->medium().counters().delivered - delivered_before));
+}
+BENCHMARK(BM_MediumBroadcastFanout)->Arg(10000);
+
+/// HELLO receptions at one node: refreshes of its ~10 neighbors in a
+/// shuffled order, with an occasional newcomer and a purge per beacon
+/// period.
+void BM_NeighborTableUpsert(benchmark::State& state) {
+  constexpr std::size_t kNeighbors = 10;
+  util::Rng rng(5);
+  std::vector<net::NodeId> ids;
+  for (std::size_t i = 0; i < 64; ++i) {
+    ids.push_back(static_cast<net::NodeId>(rng.uniform_int(0, 99999)));
+  }
+  net::NeighborTable table(sim::Time::from_seconds(45.0));
+  std::int64_t ticks = 0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    // Mostly the current ten neighbors; every 16th a node from the wider
+    // pool, which the timeout later purges.
+    const std::size_t pick =
+        (k % 16 == 15) ? 10 + (k / 16) % 54 : (k * 7) % kNeighbors;
+    ticks += sim::Time::kTicksPerSecond / 10;
+    const sim::Time now = sim::Time::from_ticks(ticks);
+    table.upsert(ids[pick], {1.0, 2.0}, util::Joules{3.0}, now);
+    if (k % 100 == 99) table.purge(now);
+    benchmark::DoNotOptimize(table.size());
+    ++k;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NeighborTableUpsert);
 
 void BM_RadioModelPower(benchmark::State& state) {
   energy::RadioParams params;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/event_tag.hpp"
 
 namespace imobif::mob {
 
@@ -13,23 +12,18 @@ MotionDriver::MotionDriver(net::Network& network, const ModelParams& params,
                            util::JoulesPerMeter move_cost)
     : network_(network),
       model_(make_model(params, seed, area, network.positions())),
-      move_cost_(move_cost) {}
+      move_cost_(move_cost) {
+  network_.set_motion_sink(this);
+}
 
-MotionDriver::~MotionDriver() = default;
+MotionDriver::~MotionDriver() { network_.set_motion_sink(nullptr); }
 
 void MotionDriver::start() {
-  schedule_at(network_.simulator().now() +
-              sim::Time::from_seconds(params().update_s.value()));
+  network_.simulator().after(sim::Time::from_seconds(params().update_s.value()),
+                             sim::EventTag::mob_tick());
 }
 
-void MotionDriver::restore_tick_at(sim::Time when) { schedule_at(when); }
-
-void MotionDriver::schedule_at(sim::Time when) {
-  network_.simulator().at(
-      when, [this] { tick(); }, sim::EventTag::mob_tick());
-}
-
-void MotionDriver::tick() {
+void MotionDriver::dispatch(const sim::Event&) {
   const util::Seconds dt = params().update_s;
   std::vector<geom::Vec2> positions = network_.positions();
   model_->step(util::Seconds{network_.simulator().now().seconds()}, dt,
@@ -50,8 +44,8 @@ void MotionDriver::tick() {
       node.set_position(target);
     }
   }
-  schedule_at(network_.simulator().now() +
-              sim::Time::from_seconds(dt.value()));
+  network_.simulator().after(sim::Time::from_seconds(dt.value()),
+                             sim::EventTag::mob_tick());
 }
 
 }  // namespace imobif::mob

@@ -9,15 +9,20 @@
 // budgeted) unless params.charge_energy opts the scenario into charging
 // the move budget via Node::move_towards.
 //
+// The tick is a plain kMobTick event record. The network executes every
+// event but does not know src/mob, so the driver registers itself as the
+// network's motion sink and the network forwards kMobTick to it.
+//
 // Checkpointing: the driver's dynamic state is (model rng, model state,
-// pending tick time); src/snap encodes all three and restore_tick_at()
-// re-arms the tick callback.
+// pending tick time); src/snap encodes all three, and the pending tick is
+// re-inserted with every other event record (Network::restore_event).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "mob/model.hpp"
+#include "sim/event_tag.hpp"
 #include "sim/time.hpp"
 #include "util/units.hpp"
 
@@ -27,11 +32,12 @@ class Network;
 
 namespace imobif::mob {
 
-class MotionDriver {
+class MotionDriver final : public sim::EventSink {
  public:
   /// Reads the nodes' current (initial) positions from `network` to seed
-  /// per-node model state. `move_cost` is the scenario's J/m constant,
-  /// used only when params.charge_energy is set.
+  /// per-node model state and registers as its motion sink. `move_cost` is
+  /// the scenario's J/m constant, used only when params.charge_energy is
+  /// set.
   MotionDriver(net::Network& network, const ModelParams& params,
                std::uint64_t seed, util::Meters area,
                util::JoulesPerMeter move_cost);
@@ -42,17 +48,14 @@ class MotionDriver {
   /// Schedules the first tick one update interval from now.
   void start();
 
-  /// Re-arms the tick at an absolute time (checkpoint restore).
-  void restore_tick_at(sim::Time when);
+  /// Executes a kMobTick: steps the model, applies the moves, re-arms.
+  void dispatch(const sim::Event& ev) override;
 
   MobilityModel& model() { return *model_; }
   const MobilityModel& model() const { return *model_; }
   const ModelParams& params() const { return model_->params(); }
 
  private:
-  void tick();
-  void schedule_at(sim::Time when);
-
   net::Network& network_;
   std::unique_ptr<MobilityModel> model_;
   // snap:transient(per-meter cost constant re-derived from scenario params by create_shell)

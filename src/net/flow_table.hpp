@@ -45,7 +45,7 @@ struct FlowEntry {
   MobilityAggregate notify_agg;
   std::uint32_t notify_decision_seq = 0;
   std::uint32_t notify_attempts = 0;
-  // snap:derived(Node::restore_notify_retry_at)
+  // snap:derived(Node::adopt_event)
   sim::EventId notify_retry_event = 0;
 
   /// Source side: highest decision sequence already applied; stale or

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "net/node.hpp"
+#include "util/check.hpp"
 
 namespace imobif::net {
 
@@ -44,40 +45,42 @@ geom::Vec2 Medium::true_position(NodeId id) const {
   return node->position();
 }
 
-void Medium::deliver_later(Node& receiver, const Packet& pkt) {
-  ++counters_.delivered;
-  schedule_delivery(receiver, std::make_shared<const Packet>(pkt),
-                    sim_.now() + config_.prop_delay);
-}
-
-void Medium::schedule_delivery(Node& receiver,
-                               std::shared_ptr<const Packet> pkt,
-                               sim::Time when) {
-  Node* target = &receiver;
-  // The tag shares ownership of the packet with the closure, so the
-  // snapshot encoder can serialize the in-flight copy without another one.
-  sim::EventTag tag = sim::EventTag::deliver(receiver.id(), pkt);
-  sim_.at(
-      when,
-      [target, pkt = std::move(pkt)] { target->handle_receive(*pkt); },
-      std::move(tag));
-}
-
-void Medium::restore_delivery_at(NodeId receiver,
-                                 std::shared_ptr<const Packet> pkt,
-                                 sim::Time when) {
-  Node* node = find_node(receiver);
-  if (node == nullptr) {
-    throw std::out_of_range("Medium::restore_delivery_at: unknown node");
+PacketSlab::Slot PacketSlab::put(const Packet& pkt) {
+  if (free_.empty()) {
+    packets_.push_back(pkt);
+    refs_.push_back(1);
+    return static_cast<Slot>(packets_.size() - 1);
   }
-  // No counter bump: `delivered` was incremented when the original
-  // transmission was scheduled, before the snapshot.
-  schedule_delivery(*node, std::move(pkt), when);
+  const Slot slot = free_.back();
+  free_.pop_back();
+  packets_[slot] = pkt;
+  refs_[slot] = 1;
+  return slot;
+}
+
+void PacketSlab::release(Slot slot) {
+  IMOBIF_ASSERT(refs_[slot] > 0, "released a free packet slot");
+  if (--refs_[slot] == 0) free_.push_back(slot);
+}
+
+void Medium::deliver_later(NodeId receiver, PacketSlab::Slot slot) {
+  ++counters_.delivered;
+  sim_.at(sim_.now() + config_.prop_delay,
+          sim::EventTag::deliver(receiver, slot));
+}
+
+void Medium::deliver(NodeId receiver, PacketSlab::Slot slot) {
+  Node* node = find_node(receiver);
+  IMOBIF_ASSERT(node != nullptr, "delivery to a node the medium never saw");
+  node->handle_receive(packets_.get(slot));
+  packets_.release(slot);
 }
 
 void Medium::broadcast(const Node& sender, const Packet& pkt) {
   ++counters_.broadcasts;
   const geom::Vec2 origin = sender.position();
+  // Stored on the first receiver; every further receiver shares the copy.
+  PacketSlab::Slot slot = sim::EventTag::kNoPacket;
   index_.for_each_in_range(
       origin, config_.comm_range_m, [&](NodeId id, geom::Vec2) {
         if (id == sender.id()) return;
@@ -91,7 +94,12 @@ void Medium::broadcast(const Node& sender, const Packet& pkt) {
           ++counters_.dropped_injected;
           return;
         }
-        deliver_later(*node, pkt);
+        if (slot == sim::EventTag::kNoPacket) {
+          slot = packets_.put(pkt);
+        } else {
+          packets_.retain(slot);
+        }
+        deliver_later(id, slot);
       });
 }
 
@@ -122,18 +130,8 @@ bool Medium::unicast(const Node& sender, NodeId dest, const Packet& pkt) {
     ++counters_.dropped_injected;
     return true;  // silent loss: accepted by the channel, never delivered
   }
-  deliver_later(*node, pkt);
+  deliver_later(dest, packets_.put(pkt));
   return true;
-}
-
-void Medium::schedule_fault_set(NodeId id, bool on, sim::Time when) {
-  sim_.at(
-      when,
-      [this, id, on] {
-        Node* node = find_node(id);
-        if (node != nullptr) node->set_faulted(on);
-      },
-      sim::EventTag::fault_set(id, on));
 }
 
 void Medium::install_fault_plan(const FaultPlan& plan) {
@@ -141,11 +139,11 @@ void Medium::install_fault_plan(const FaultPlan& plan) {
   if (!plan.enabled()) return;
   if (plan.has_loss()) injector_ = std::make_unique<FaultInjector>(plan);
   for (const FaultPlan::CrashEvent& crash : plan.crashes) {
-    schedule_fault_set(crash.node, true, sim::Time::from_seconds(crash.at_s));
+    sim_.at(sim::Time::from_seconds(crash.at_s),
+            sim::EventTag::fault_set(crash.node, true));
     if (crash.duration_s >= 0.0) {
-      schedule_fault_set(
-          crash.node, false,
-          sim::Time::from_seconds(crash.at_s + crash.duration_s));
+      sim_.at(sim::Time::from_seconds(crash.at_s + crash.duration_s),
+              sim::EventTag::fault_set(crash.node, false));
     }
   }
 }
@@ -154,10 +152,6 @@ FaultInjector& Medium::restore_fault_injector(const FaultPlan& plan) {
   plan.validate();
   injector_ = std::make_unique<FaultInjector>(plan);
   return *injector_;
-}
-
-void Medium::restore_fault_event_at(NodeId id, bool on, sim::Time when) {
-  schedule_fault_set(id, on, when);
 }
 
 }  // namespace imobif::net

@@ -9,9 +9,13 @@
 //
 // The medium also doubles as the experiment's ground-truth position oracle
 // (`true_position`), standing in for GPS (paper Assumption 2).
+//
+// Each transmission's packet is stored once, in the medium's PacketSlab;
+// every kDeliver event of that transmission names the same slab slot.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -36,6 +40,34 @@ struct MediumConfig {
   /// default only broadcasts (HELLO/RREQ neighbor discovery) are gated by
   /// comm_range_m. Set true to gate unicasts as well.
   bool unicast_range_gated = false;
+};
+
+/// In-flight packets, one per transmission, reference-counted by the
+/// delivery events that still have to run. A std::deque keeps stored
+/// packets at stable addresses while a receiver's handler transmits, and
+/// so stores, more packets.
+class PacketSlab {
+ public:
+  using Slot = std::uint32_t;
+
+  /// Stores `pkt` with one reference.
+  Slot put(const Packet& pkt);
+  /// Adds a reference to a stored packet.
+  void retain(Slot slot) { ++refs_[slot]; }
+  /// Drops a reference; the slot is freed with the last one.
+  void release(Slot slot);
+  const Packet& get(Slot slot) const { return packets_[slot]; }
+
+  /// Packets still referenced by a pending delivery.
+  std::size_t in_use() const { return packets_.size() - free_.size(); }
+
+ private:
+  // snap:derived(put)
+  std::deque<Packet> packets_;
+  // snap:derived(put)
+  std::vector<std::uint32_t> refs_;
+  // snap:derived(put)
+  std::vector<Slot> free_;
 };
 
 // snap:transient(wiring rebuilt by create_shell and attach)
@@ -84,6 +116,14 @@ class Medium {
   void install_fault_plan(const FaultPlan& plan);
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
+  /// Executes a kDeliver event: hands the slab packet to `receiver`, then
+  /// drops the event's reference to it.
+  void deliver(NodeId receiver, PacketSlab::Slot slot);
+
+  /// The in-flight packets pending kDeliver events refer to.
+  PacketSlab& packets() { return packets_; }
+  const PacketSlab& packets() const { return packets_; }
+
   struct Counters {
     std::uint64_t broadcasts = 0;
     std::uint64_t unicasts = 0;
@@ -99,23 +139,16 @@ class Medium {
   // --- Checkpoint restore support (src/snap) ---
 
   void restore_counters(const Counters& counters) { counters_ = counters; }
-  /// Re-schedules an in-flight delivery at an absolute time. Unlike the
-  /// internal path this does NOT bump the delivered counter (it was counted
-  /// when the original transmission was scheduled, before the snapshot).
-  void restore_delivery_at(NodeId receiver, std::shared_ptr<const Packet> pkt,
-                           sim::Time when);
   /// Re-creates the loss injector from its plan WITHOUT scheduling the
   /// crash events (those are restored as pending simulator events); returns
   /// it so the caller can restore per-link channel state.
   FaultInjector& restore_fault_injector(const FaultPlan& plan);
-  /// Re-schedules one pending crash/resume event at an absolute time.
-  void restore_fault_event_at(NodeId id, bool on, sim::Time when);
 
  private:
-  void deliver_later(Node& receiver, const Packet& pkt);
-  void schedule_delivery(Node& receiver, std::shared_ptr<const Packet> pkt,
-                         sim::Time when);
-  void schedule_fault_set(NodeId id, bool on, sim::Time when);
+  /// Counts a delivery to `receiver` and schedules it one propagation
+  /// delay from now; the caller has already taken the event's reference
+  /// to `slot`.
+  void deliver_later(NodeId receiver, PacketSlab::Slot slot);
 
   sim::Simulator& sim_;
   MediumConfig config_;
@@ -126,6 +159,8 @@ class Medium {
   std::vector<Node*> by_id_;
   GridIndex index_;
   Counters counters_;
+  // snap:derived(PacketSlab::put)
+  PacketSlab packets_;
   // snap:derived(restore_fault_injector)
   std::unique_ptr<FaultInjector> injector_;
 };

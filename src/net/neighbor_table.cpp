@@ -4,61 +4,44 @@
 
 namespace imobif::net {
 
+std::vector<NeighborInfo>::const_iterator NeighborTable::lower_bound(
+    NodeId id) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const NeighborInfo& info, NodeId key) { return info.id < key; });
+}
+
 void NeighborTable::upsert(NodeId id, geom::Vec2 position,
                            util::Joules residual_energy, sim::Time now) {
-  auto& entry = entries_[id];
-  entry.id = id;
-  entry.position = position;
-  entry.residual_energy = residual_energy;
-  entry.last_heard = now;
+  const auto it = lower_bound(id);
+  const NeighborInfo info{id, position, residual_energy, now};
+  if (it != entries_.end() && it->id == id) {
+    entries_[static_cast<std::size_t>(it - entries_.begin())] = info;
+  } else {
+    entries_.insert(it, info);
+  }
 }
 
 std::optional<NeighborInfo> NeighborTable::find(NodeId id,
                                                 sim::Time now) const {
-  const auto it = entries_.find(id);
-  if (it == entries_.end() || expired(it->second, now)) return std::nullopt;
-  return it->second;
+  const auto it = lower_bound(id);
+  if (it == entries_.end() || it->id != id || expired(*it, now)) {
+    return std::nullopt;
+  }
+  return *it;
 }
 
 void NeighborTable::purge(sim::Time now) {
-  // Only the surviving set matters here, and set membership is
-  // independent of visit order.
-  // astlint:allow(unordered-iteration): erase-if, order-insensitive
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (expired(it->second, now)) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_,
+                [&](const NeighborInfo& info) { return expired(info, now); });
 }
 
 std::vector<NeighborInfo> NeighborTable::snapshot(sim::Time now) const {
-  // Sorted by id so every scan over the snapshot (routing, recruitment)
-  // visits neighbors in a deterministic order independent of hash layout —
-  // a prerequisite for bit-identical checkpoint/restore equivalence.
   std::vector<NeighborInfo> out;
   out.reserve(entries_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
-  for (const auto& [id, info] : entries_) {
+  for (const NeighborInfo& info : entries_) {
     if (!expired(info, now)) out.push_back(info);
   }
-  std::sort(out.begin(), out.end(),
-            [](const NeighborInfo& a, const NeighborInfo& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-std::vector<NeighborInfo> NeighborTable::all_entries() const {
-  std::vector<NeighborInfo> out;
-  out.reserve(entries_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
-  for (const auto& [id, info] : entries_) out.push_back(info);
-  std::sort(out.begin(), out.end(),
-            [](const NeighborInfo& a, const NeighborInfo& b) {
-              return a.id < b.id;
-            });
   return out;
 }
 

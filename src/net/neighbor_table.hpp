@@ -2,10 +2,13 @@
 // "a neighbor table with the identity, location, and residual energy of each
 // neighbor", populated from HELLO beacons (and refreshed from the sender
 // stamp of any overheard packet). Entries expire after a timeout.
+//
+// Storage is one vector sorted by id: at the paper's density a node has
+// about ten neighbors, so a binary search over contiguous entries beats a
+// hash lookup, and every enumeration is in id order without a sort.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -45,7 +48,7 @@ class NeighborTable {
   /// by id. Checkpointing serializes these verbatim (restoring only live
   /// entries would be behaviorally equivalent but break state-hash
   /// comparison against the original).
-  std::vector<NeighborInfo> all_entries() const;
+  const std::vector<NeighborInfo>& all_entries() const { return entries_; }
 
   std::size_t size() const { return entries_.size(); }
   sim::Time timeout() const { return timeout_; }
@@ -55,11 +58,14 @@ class NeighborTable {
   bool expired(const NeighborInfo& info, sim::Time now) const {
     return now - info.last_heard > timeout_;
   }
+  /// First entry with id >= `id`.
+  std::vector<NeighborInfo>::const_iterator lower_bound(NodeId id) const;
 
   // snap:transient(config from NodeConfig, re-applied at construction)
   sim::Time timeout_;
+  /// Ascending by id, ids unique.
   // snap:derived(upsert)
-  std::unordered_map<NodeId, NeighborInfo> entries_;
+  std::vector<NeighborInfo> entries_;
 };
 
 }  // namespace imobif::net

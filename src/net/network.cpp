@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 // Network owns its traffic generators; the net->traffic seam is deliberate
@@ -22,7 +23,9 @@ using util::Seconds;
 Network::Network(NetworkConfig config)
     : config_(config),
       radio_(config.radio),
-      medium_(sim_, config.medium) {}
+      medium_(sim_, config.medium) {
+  sim_.set_sink(this);
+}
 
 Network::~Network() = default;
 
@@ -40,7 +43,8 @@ Node::Services Network::services() {
 
 Node& Network::add_node(geom::Vec2 position, Joules initial_energy) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  const NodeStore::Index slot = store_.add(position, initial_energy);
+  [[maybe_unused]] const NodeStore::Index slot =
+      store_.add(position, initial_energy);
   IMOBIF_ASSERT(slot == id, "NodeStore slots must track dense node ids");
   nodes_.push_back(std::make_unique<Node>(id, position, initial_energy,
                                           services(), config_.node));
@@ -117,10 +121,8 @@ void Network::start_flow(const FlowSpec& spec) {
                                                       util::splitmix64(fork)));
   }
   const Seconds interval = emission_interval(spec.id, spec);
-  sim_.after(
-      sim::Time::from_seconds(interval.value()),
-      [this, id = spec.id] { emit_packet(id); },
-      sim::EventTag::emit_packet(spec.id));
+  sim_.after(sim::Time::from_seconds(interval.value()),
+             sim::EventTag::emit_packet(spec.id));
 }
 
 Seconds Network::emission_interval(FlowId id, const FlowSpec& spec) {
@@ -183,7 +185,6 @@ void Network::emit_packet(FlowId id) {
 
   const Seconds interval = emission_interval(id, spec);
   sim_.after(sim::Time::from_seconds(interval.value()),
-             [this, id] { emit_packet(id); },
              sim::EventTag::emit_packet(id));
 }
 
@@ -199,12 +200,57 @@ void Network::restore_flow_progress(const FlowProgress& prog) {
   }
 }
 
-void Network::restore_emission_at(FlowId id, sim::Time when) {
-  if (flows_.count(id) == 0) {
-    throw std::invalid_argument("restore_emission_at: unknown flow");
+void Network::dispatch(const sim::Event& ev) {
+  using Kind = sim::EventTag::Kind;
+  const sim::EventTag& tag = ev.tag;
+  switch (tag.kind) {
+    case Kind::kDeliver:
+      medium_.deliver(static_cast<NodeId>(tag.a), tag.packet);
+      return;
+    case Kind::kHelloTick:
+      nodes_[tag.a]->hello_tick();
+      return;
+    case Kind::kEmitPacket:
+      emit_packet(static_cast<FlowId>(tag.a));
+      return;
+    case Kind::kNotifyRetry:
+      nodes_[tag.a]->notify_retry_tick(static_cast<FlowId>(tag.b));
+      return;
+    case Kind::kFaultSet:
+      if (Node* n = medium_.find_node(static_cast<NodeId>(tag.a))) {
+        n->set_faulted(tag.b != 0);
+      }
+      return;
+    case Kind::kMobTick:
+      if (motion_sink_ == nullptr) break;
+      motion_sink_->dispatch(ev);
+      return;
+    case Kind::kCallback:
+      break;
   }
-  sim_.at(when, [this, id] { emit_packet(id); },
-          sim::EventTag::emit_packet(id));
+  throw std::logic_error("Network::dispatch: no handler for event kind " +
+                         std::to_string(static_cast<int>(tag.kind)));
+}
+
+void Network::restore_event(sim::Time when, const sim::EventTag& tag) {
+  using Kind = sim::EventTag::Kind;
+  const bool node_event = tag.kind == Kind::kHelloTick ||
+                          tag.kind == Kind::kNotifyRetry ||
+                          tag.kind == Kind::kDeliver;
+  const bool runnable =
+      tag.kind != Kind::kCallback && tag.kind <= sim::EventTag::kLastKind &&
+      (!node_event || tag.a < nodes_.size()) &&
+      (tag.kind != Kind::kEmitPacket ||
+       flows_.count(static_cast<FlowId>(tag.a)) != 0) &&
+      (tag.kind != Kind::kMobTick || motion_sink_ != nullptr);
+  if (!runnable) {
+    throw std::runtime_error(
+        "restore_event: this network cannot execute event kind " +
+        std::to_string(static_cast<int>(tag.kind)) + " (a=" +
+        std::to_string(tag.a) + ")");
+  }
+  const sim::EventId id = sim_.at(when, tag);
+  if (node_event) nodes_[tag.a]->adopt_event(tag, id);
 }
 
 std::vector<const FlowProgress*> Network::all_progress() const {

@@ -71,10 +71,21 @@ struct FlowProgress {
 };
 
 // snap:transient(engine wiring rebuilt by InstanceRun::create_shell from scenario config)
-class Network : public NetworkEvents {
+class Network : public NetworkEvents, public sim::EventSink {
  public:
   explicit Network(NetworkConfig config = {});
   ~Network() override;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
+  /// The one dispatch path: executes every event the simulator pops
+  /// (the network registers itself as the simulator's sink). kMobTick is
+  /// handed to the motion sink; net does not know src/mob.
+  void dispatch(const sim::Event& ev) override;
+
+  /// Registers the sink kMobTick events go to (mob::MotionDriver), or
+  /// nullptr. Not owned.
+  void set_motion_sink(sim::EventSink* sink) { motion_sink_ = sink; }
 
   sim::Simulator& simulator() { return sim_; }
   Medium& medium() { return medium_; }
@@ -141,8 +152,13 @@ class Network : public NetworkEvents {
   /// source's flow entry or scheduling an emission (both restored
   /// separately from the snapshot).
   void restore_flow_progress(const FlowProgress& prog);
-  /// Re-schedules the next packet emission for `id` at an absolute time.
-  void restore_emission_at(FlowId id, sim::Time when);
+  /// Re-inserts a decoded pending event at its absolute time, in snapshot
+  /// order, and hands its cancellation handle to the node that owns it.
+  /// A kDeliver tag must name a packet already stored in
+  /// medium().packets(). Throws std::runtime_error for an event this
+  /// network cannot execute (unknown node, flow or kind, or a kMobTick
+  /// without a motion sink).
+  void restore_event(sim::Time when, const sim::EventTag& tag);
   void restore_last_progress(sim::Time t) { last_progress_ = t; }
   void restore_first_death(std::optional<sim::Time> t) {
     first_death_time_ = t;
@@ -198,6 +214,7 @@ class Network : public NetworkEvents {
   std::unique_ptr<RoutingProtocol> routing_;
   MobilityPolicy* policy_ = nullptr;
   NetworkEvents* tap_ = nullptr;
+  sim::EventSink* motion_sink_ = nullptr;
   // snap:derived(add_node)
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<FlowId, FlowProgress> flows_;

@@ -127,9 +127,8 @@ void Node::start_hello() {
   const auto phase_ticks = static_cast<std::int64_t>(
       hash % static_cast<std::uint64_t>(
                  std::max<std::int64_t>(1, config_.hello_interval.ticks())));
-  hello_event_ = services_.sim->after(
-      sim::Time::from_ticks(phase_ticks), [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
+  hello_event_ = services_.sim->after(sim::Time::from_ticks(phase_ticks),
+                                      sim::EventTag::hello_tick(id_));
 }
 
 void Node::stop_hello() {
@@ -158,9 +157,8 @@ void Node::hello_tick() {
   send_hello_now();
   neighbors_.purge(now());
   if (!alive()) return;  // beacon cost may have finished the battery
-  hello_event_ = services_.sim->after(
-      config_.hello_interval, [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
+  hello_event_ = services_.sim->after(config_.hello_interval,
+                                      sim::EventTag::hello_tick(id_));
 }
 
 NeighborInfo Node::lookup(NodeId other) const {
@@ -518,25 +516,15 @@ void Node::schedule_notify_retry(FlowEntry& entry) {
   const sim::Time delay =
       sim::Time::from_ticks(config_.notify_retry_timeout.ticks() << shift);
   entry.notify_retry_event = services_.sim->after(
-      delay, [this, flow = entry.id] { notify_retry_tick(flow); },
-      sim::EventTag::notify_retry(id_, entry.id));
+      delay, sim::EventTag::notify_retry(id_, entry.id));
 }
 
-void Node::restore_hello_at(sim::Time when) {
-  stop_hello();
-  hello_event_ = services_.sim->at(
-      when, [this] { hello_tick(); },
-      sim::EventTag::hello_tick(id_));
-}
-
-void Node::restore_notify_retry_at(FlowId flow, sim::Time when) {
-  FlowEntry& entry = flows_.ensure(flow);
-  if (entry.notify_retry_event != 0) {
-    services_.sim->cancel(entry.notify_retry_event);
+void Node::adopt_event(const sim::EventTag& tag, sim::EventId id) {
+  if (tag.kind == sim::EventTag::Kind::kHelloTick) {
+    hello_event_ = id;
+  } else if (tag.kind == sim::EventTag::Kind::kNotifyRetry) {
+    flows_.ensure(static_cast<FlowId>(tag.b)).notify_retry_event = id;
   }
-  entry.notify_retry_event = services_.sim->at(
-      when, [this, flow] { notify_retry_tick(flow); },
-      sim::EventTag::notify_retry(id_, flow));
 }
 
 void Node::sync_flow_aggregate() {

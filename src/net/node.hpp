@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "energy/battery.hpp"
 #include "energy/radio_model.hpp"
@@ -150,6 +149,13 @@ class Node {
   /// Medium delivery entry point.
   void handle_receive(const Packet& pkt);
 
+  // --- Event handlers (executed by Network::dispatch) ---
+
+  /// kHelloTick: beacons, purges stale neighbors, re-arms the next tick.
+  void hello_tick();
+  /// kNotifyRetry: retransmits `flow`'s unconfirmed status-change request.
+  void notify_retry_tick(FlowId flow);
+
   /// Bounded mobility step: moves at most `max_step` toward `target`,
   /// drawing `cost_per_meter * distance` from the battery (movement is
   /// truncated to what the battery can afford). Returns the distance moved.
@@ -179,10 +185,10 @@ class Node {
   /// of set_faulted(); pending HELLO events are restored separately.
   void restore_faulted(bool faulted) { faulted_ = faulted; }
   void restore_total_moved(util::Meters meters) { total_moved_ = meters; }
-  /// Re-arms the periodic HELLO timer at an absolute simulated time.
-  void restore_hello_at(sim::Time when);
-  /// Re-arms a pending notification retry for `flow` at an absolute time.
-  void restore_notify_retry_at(FlowId flow, sim::Time when);
+  /// Adopts `id` as the cancellation handle of a restored event this node
+  /// owns (kHelloTick, or kNotifyRetry for flow `tag.b`); other kinds have
+  /// no handle. Network::restore_event calls this after re-inserting it.
+  void adopt_event(const sim::EventTag& tag, sim::EventId id);
 
   /// Recomputes this node's NodeStore flow aggregate from the flow table.
   /// Call after mutating the table through flows() from outside the node
@@ -191,7 +197,6 @@ class Node {
   void sync_flow_aggregate();
 
  private:
-  void hello_tick();
   void handle_data(DataBody data, const SenderStamp& from);
   void handle_recruit(const RecruitBody& body);
   /// Transmits toward entry.next; on link-layer failure re-resolves the
@@ -204,7 +209,6 @@ class Node {
   /// Transmits the current pending decision upstream and (re-)arms the
   /// retry timer; shared by the first transmission and every retry.
   void transmit_notification(FlowEntry& entry);
-  void notify_retry_tick(FlowId flow);
   void schedule_notify_retry(FlowEntry& entry);
   void cancel_notify_retry(FlowEntry& entry);
   Packet stamp(PacketType type, NodeId link_dest, util::Bits size_bits) const;
@@ -228,7 +232,7 @@ class Node {
   Services services_;
   // snap:transient(per-node config, persisted wholesale as scenario text)
   NodeConfig config_;
-  // snap:derived(restore_hello_at)
+  // snap:derived(adopt_event)
   sim::EventId hello_event_ = 0;
   util::Meters total_moved_;
   bool faulted_ = false;

@@ -2,141 +2,93 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "util/check.hpp"
 
 namespace imobif::sim {
 
-EventId EventQueue::schedule(Time when, Callback fn, EventTag tag) {
-  IMOBIF_ENSURE(fn != nullptr, "scheduled a null callback");
+EventId EventQueue::schedule(Time when, const EventTag& tag) {
   IMOBIF_ENSURE(when != Time::infinity(),
                 "infinity is the empty-queue sentinel, not a schedulable time");
-  const EventId id = next_id_++;
-  heap_.push_back(Entry{when, next_seq_++, id});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.tag = tag;
+  ++s.gen;  // even (free) -> odd (pending)
+  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  callbacks_.emplace(id, Scheduled{std::move(fn), std::move(tag)});
   ++live_count_;
-  return id;
+  return (static_cast<EventId>(s.gen) << 32) | slot;
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  ++slots_[slot].gen;  // odd (pending) -> even (free)
+  free_slots_.push_back(slot);
+  --live_count_;
 }
 
 bool EventQueue::cancel(EventId id) {
-  const auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  --live_count_;
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  if ((gen & 1u) == 0 || slot >= slots_.size() || slots_[slot].gen != gen) {
+    return false;
+  }
+  release(slot);
   return true;
 }
 
-void EventQueue::drop_dead_heap_top() const {
-  while (!heap_.empty() && !entry_live(heap_.front().id)) {
+void EventQueue::drop_dead_top() const {
+  while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-  }
-}
-
-void EventQueue::drop_dead_due_front() const {
-  while (due_head_ < due_.size() && !entry_live(due_[due_head_].id)) {
-    ++due_head_;
-  }
-  if (due_head_ == due_.size() && due_head_ != 0) {
-    due_.clear();
-    due_head_ = 0;
   }
 }
 
 Time EventQueue::next_time() const {
-  drop_dead_due_front();
-  drop_dead_heap_top();
-  if (due_head_ < due_.size()) {
-    // Anything still staged was earliest when the batch was drained; only a
-    // schedule() issued *after* staging could have put an earlier time on
-    // the heap (the simulator never does — its clock already passed it).
-    if (!heap_.empty() && heap_.front().when < due_[due_head_].when) {
-      return heap_.front().when;
-    }
-    return due_[due_head_].when;
-  }
+  drop_dead_top();
   return heap_.empty() ? Time::infinity() : heap_.front().when;
 }
 
-std::size_t EventQueue::stage_due_batch() {
-  drop_dead_due_front();
-  if (due_head_ < due_.size()) return due_.size() - due_head_;
-  drop_dead_heap_top();
-  if (heap_.empty()) return 0;
-  const Time batch_time = heap_.front().when;
-  // One pass over the heap: pop_heap yields ascending (time, seq), so the
-  // staged vector is already in execution order.
-  while (!heap_.empty() && heap_.front().when == batch_time) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = heap_.back();
-    heap_.pop_back();
-    if (entry_live(entry.id)) due_.push_back(entry);
-    drop_dead_heap_top();
-  }
-  return due_.size();
-}
-
-EventQueue::Popped EventQueue::pop() {
-  stage_due_batch();
+Event EventQueue::pop() {
   if (live_count_ == 0) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  drop_dead_due_front();
-  drop_dead_heap_top();
-  // Serve whichever source holds the earliest (time, seq). The heap can
-  // only win when a post-staging schedule() targeted an earlier time than
-  // the staged batch (legal for a standalone queue, unreachable through
-  // the simulator).
-  Entry next{};
-  const bool due_has = due_head_ < due_.size();
-  if (due_has && (heap_.empty() || !Later{}(due_[due_head_], heap_.front()))) {
-    next = due_[due_head_++];
-    if (due_head_ == due_.size()) {
-      due_.clear();
-      due_head_ = 0;
-    }
-  } else {
-    IMOBIF_ASSERT(!heap_.empty(), "pop with live events but no entries");
-    next = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+  drop_dead_top();
+  const Entry next = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   IMOBIF_ASSERT(next.when >= last_popped_,
                 "event times must be popped in non-decreasing order");
   last_popped_ = next.when;
-  const auto it = callbacks_.find(next.id);
-  Popped out{next.when, std::move(it->second.fn)};
-  callbacks_.erase(it);
-  --live_count_;
+  const Event out{next.when, next.seq, slots_[next.slot].tag};
+  release(next.slot);
   return out;
 }
 
-std::vector<EventQueue::PendingEvent> EventQueue::pending_tagged() const {
-  std::vector<PendingEvent> out;
+std::vector<Event> EventQueue::pending() const {
+  std::vector<Event> out;
   out.reserve(live_count_);
-  const auto collect = [&](const Entry& entry) {
-    const auto it = callbacks_.find(entry.id);
-    if (it == callbacks_.end()) return;  // cancelled, not yet dropped
-    out.push_back(PendingEvent{entry.when, entry.seq, &it->second.tag});
-  };
-  for (std::size_t i = due_head_; i < due_.size(); ++i) collect(due_[i]);
-  for (const Entry& entry : heap_) collect(entry);
-  std::sort(out.begin(), out.end(),
-            [](const PendingEvent& a, const PendingEvent& b) {
-              if (a.when != b.when) return a.when < b.when;
-              return a.seq < b.seq;
-            });
+  for (const Entry& entry : heap_) {
+    if (!entry_live(entry)) continue;  // cancelled, not yet dropped
+    out.push_back(Event{entry.when, entry.seq, slots_[entry.slot].tag});
+  }
+  std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  });
   return out;
 }
 
 std::size_t EventQueue::approx_bytes() const {
-  // Vector storage plus a flat estimate of the node-based callback map;
-  // std::function targets are not walked, so this is a floor.
-  return heap_.capacity() * sizeof(Entry) + due_.capacity() * sizeof(Entry) +
-         callbacks_.size() *
-             (sizeof(std::pair<const EventId, Scheduled>) + 2 * sizeof(void*));
+  return heap_.capacity() * sizeof(Entry) +
+         slots_.capacity() * sizeof(Slot) +
+         free_slots_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace imobif::sim

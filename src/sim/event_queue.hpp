@@ -1,29 +1,29 @@
-// Discrete-event queue: a binary heap of (time, sequence, callback) with
-// O(log n) push/pop, lazy cancellation, and batched same-tick draining.
+// Discrete-event queue: a binary heap of (time, sequence, slot) entries
+// over a slot table of event records, with O(log n) push/pop and lazy
+// cancellation.
 //
 // Ties in time are broken by insertion sequence, so same-tick events run in
 // the order they were scheduled — this determinism is what makes the
 // packet-by-packet mobility protocol of the paper reproducible in tests.
 //
+// Storage (DESIGN.md §12): each pending event occupies one slot of a
+// vector that holds its EventTag and a generation counter; freed slots are
+// reused. A heap entry names its slot and the generation it was scheduled
+// under, and an EventId packs the same pair (generation in the high 32
+// bits). A slot's generation is odd while its event is pending and even
+// while the slot is free; popping or cancelling bumps it. So liveness of a
+// heap entry and validity of a cancel() handle are each one array read: a
+// stale handle whose slot has since been reused carries an older
+// generation and is refused, leaving the new occupant alone. Ids are never
+// 0 (a live generation is odd), which callers use as "no event".
+//
 // The heap is a std::vector managed with std::push_heap/pop_heap (not a
 // std::priority_queue) so live events can be *enumerated* for
-// checkpointing: pending_tagged() returns every live event's (time, seq,
-// tag) in execution order without disturbing the queue.
-//
-// Batching (the 10^5-10^6-node scaling path, DESIGN.md §12): instead of a
-// per-event pop/push cycle against the full heap, pop() drains every event
-// scheduled at next_time() into a staged "due" batch in one heap pass and
-// then serves from that batch with plain vector reads. Events scheduled
-// *during* a batch go to the heap without disturbing the staged entries;
-// because any same-tick newcomer carries a larger sequence number, global
-// (time, seq) execution order — and thus bit-identical replays — is
-// preserved. Staged events remain cancellable and visible to
-// pending_tagged() until they are popped.
+// checkpointing: pending() returns every live event in execution order
+// without disturbing the queue.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_tag.hpp"
@@ -36,15 +36,11 @@ using EventId = std::uint64_t;
 // snap:transient(pending events are re-armed through the schedule path from the snapshot events section)
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// Schedules `tag` at absolute time `when`; returns a handle for cancel().
+  EventId schedule(Time when, const EventTag& tag);
 
-  /// Schedules `fn` at absolute time `when`; returns a handle for cancel().
-  /// The optional tag describes the event for checkpointing (event_tag.hpp).
-  EventId schedule(Time when, Callback fn, EventTag tag = {});
-
-  /// Cancels a pending event — staged-but-not-yet-popped events included.
-  /// Returns false when the event already ran, was already cancelled, or
-  /// never existed.
+  /// Cancels a pending event. Returns false when the event already ran,
+  /// was already cancelled, or never existed.
   bool cancel(EventId id);
 
   bool empty() const { return live_count_ == 0; }
@@ -53,47 +49,21 @@ class EventQueue {
   /// Time of the earliest live event; Time::infinity() when empty.
   Time next_time() const;
 
-  // snap:transient(pop result value type carrying the callback)
-  struct Popped {
-    Time when;
-    Callback fn;
-  };
   /// Removes and returns the earliest live event. Requires !empty().
-  /// Internally drains the whole earliest-time batch on the first pop of a
-  /// tick (see stage_due_batch) and serves the rest from the batch.
-  Popped pop();
+  Event pop();
 
-  /// Drains every live event at next_time() into the staged batch in one
-  /// heap pass; no-op when a batch is already staged (a batch never mixes
-  /// two distinct times). Returns the number of staged events not yet
-  /// popped, 0 when the queue is empty. pop() calls this implicitly — the
-  /// method is public so tests and benchmarks can exercise the batch
-  /// machinery directly.
-  std::size_t stage_due_batch();
+  /// Every live event in execution order (time, then insertion sequence).
+  std::vector<Event> pending() const;
 
-  /// Staged-but-not-yet-popped events (liveness of individual entries is
-  /// resolved lazily; recently cancelled stragglers may still be counted).
-  std::size_t staged() const { return due_.size() - due_head_; }
-
-  /// A live event's schedule entry, for checkpoint enumeration.
-  struct PendingEvent {
-    Time when;
-    std::uint64_t seq = 0;
-    const EventTag* tag = nullptr;  ///< owned by the queue; never null
-  };
-  /// Every live event in execution order (time, then insertion sequence),
-  /// staged batch included. Tags point into the queue and are invalidated
-  /// by any mutation.
-  std::vector<PendingEvent> pending_tagged() const;
-
-  /// Lower-bound estimate of heap-allocated bytes (scale accounting).
+  /// Heap-allocated bytes of the queue's vectors (scale accounting).
   std::size_t approx_bytes() const;
 
  private:
   struct Entry {
     Time when;
     std::uint64_t seq;
-    EventId id;
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -101,25 +71,27 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  // snap:transient(schedule-slot value type carrying the callback)
-  struct Scheduled {
-    Callback fn;
+  // snap:transient(a pending record's slot; restore re-inserts records)
+  struct Slot {
     EventTag tag;
+    std::uint32_t gen = 0;  ///< odd while pending, even while free
   };
 
-  /// An entry (heap or staged) is live iff its callback is still registered;
-  /// cancel() only erases the callback and the entry is skipped lazily.
-  bool entry_live(EventId id) const { return callbacks_.count(id) != 0; }
-  void drop_dead_heap_top() const;
-  void drop_dead_due_front() const;
+  bool entry_live(const Entry& entry) const {
+    return slots_[entry.slot].gen == entry.gen;
+  }
+  /// Ends the slot's current event (popped or cancelled) and frees it.
+  void release(std::uint32_t slot);
+  /// Pops cancelled entries off the top (lazy cancellation).
+  void drop_dead_top() const;
 
-  mutable std::vector<Entry> heap_;  ///< max-heap under Later (min-time first)
-  /// Staged same-tick batch, ascending (time, seq) from due_head_ on.
-  mutable std::vector<Entry> due_;
-  mutable std::size_t due_head_ = 0;
-  std::unordered_map<EventId, Scheduled> callbacks_;
+  /// Max-heap under Later: the earliest (time, seq) on top.
+  mutable std::vector<Entry> heap_;
+  // snap:derived(schedule)
+  std::vector<Slot> slots_;
+  // snap:derived(schedule)
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::size_t live_count_ = 0;
   // Time of the last event handed out by pop(); pop() contracts that the
   // stream of popped times never regresses.

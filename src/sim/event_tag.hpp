@@ -1,61 +1,80 @@
-// EventTag: a serializable description of a scheduled event.
+// Events as data: a scheduled event is a plain record — a closed kind,
+// two integer operands and, for deliveries, a slot in the medium's packet
+// slab — executed by the one EventSink the simulator dispatches to
+// (net::Network::dispatch). The record *is* the event, so checkpointing
+// needs no second mapping: the snapshot writes the pending records and
+// restore re-inserts them through the same scheduling path (DESIGN.md §9).
+// Scheduling copies 24 bytes and allocates nothing.
 //
-// Pending events are type-erased callbacks, which a checkpoint cannot
-// serialize. Every *domain* scheduling site therefore attaches a tag naming
-// the event's kind and its identifying operands; restore() re-materializes
-// the callback from the tag (src/snap/snapshot.cpp owns that mapping). The
-// sim layer stays network-agnostic: kinds are a closed enum shared with the
-// net layer by convention, and bulky payloads (an in-flight packet) ride in
-// a std::any the tagging layer alone understands.
-//
-// Events scheduled without a tag (tests, ad-hoc callers) remain fully
-// functional; they are merely rejected by the snapshot encoder, which
-// refuses to checkpoint state it cannot reconstruct.
+// The sim layer stays network-agnostic: the net layer interprets the
+// operands by convention (see Kind) and the sim layer never dereferences
+// the packet slot. kCallback is for the sim unit tests only; the snapshot
+// encoder rejects it and no domain code schedules it.
 #pragma once
 
-#include <any>
 #include <cstdint>
+
+#include "sim/time.hpp"
 
 namespace imobif::sim {
 
 struct EventTag {
+  // The numeric values are persisted in snapshots; never renumber.
   enum class Kind : std::uint8_t {
-    kUntagged = 0,
+    kCallback = 0,      ///< a = callback index (sim unit tests)
     kHelloTick = 1,     ///< a = node id
     kEmitPacket = 2,    ///< a = flow id
-    kDeliver = 3,       ///< a = receiver node id; payload = the packet
+    kDeliver = 3,       ///< a = receiver node id; packet = slab slot
     kNotifyRetry = 4,   ///< a = node id, b = flow id
     kFaultSet = 5,      ///< a = node id, b = 1 (crash) / 0 (resume)
     kMobTick = 6,       ///< background-motion tick (src/mob)
   };
+  static constexpr Kind kLastKind = Kind::kMobTick;
+  static constexpr std::uint32_t kNoPacket = 0xffffffffu;
 
-  Kind kind = Kind::kUntagged;
+  Kind kind = Kind::kCallback;
+  std::uint32_t packet = kNoPacket;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  /// Kind-specific payload; kDeliver carries a
-  /// std::shared_ptr<const net::Packet> (shared with the closure so the
-  /// packet is stored once).
-  std::any payload;
 
-  bool tagged() const { return kind != Kind::kUntagged; }
-
-  // Named constructors (the net layer's scheduling sites use these).
+  // Named constructors (the net and mob scheduling sites use these).
   static EventTag hello_tick(std::uint64_t node) {
-    return EventTag{Kind::kHelloTick, node, 0, {}};
+    return EventTag{Kind::kHelloTick, kNoPacket, node, 0};
   }
   static EventTag emit_packet(std::uint64_t flow) {
-    return EventTag{Kind::kEmitPacket, flow, 0, {}};
+    return EventTag{Kind::kEmitPacket, kNoPacket, flow, 0};
   }
-  static EventTag deliver(std::uint64_t receiver, std::any packet) {
-    return EventTag{Kind::kDeliver, receiver, 0, std::move(packet)};
+  static EventTag deliver(std::uint64_t receiver, std::uint32_t packet) {
+    return EventTag{Kind::kDeliver, packet, receiver, 0};
   }
   static EventTag notify_retry(std::uint64_t node, std::uint64_t flow) {
-    return EventTag{Kind::kNotifyRetry, node, flow, {}};
+    return EventTag{Kind::kNotifyRetry, kNoPacket, node, flow};
   }
   static EventTag fault_set(std::uint64_t node, bool on) {
-    return EventTag{Kind::kFaultSet, node, on ? 1u : 0u, {}};
+    return EventTag{Kind::kFaultSet, kNoPacket, node, on ? 1u : 0u};
   }
-  static EventTag mob_tick() { return EventTag{Kind::kMobTick, 0, 0, {}}; }
+  static EventTag mob_tick() {
+    return EventTag{Kind::kMobTick, kNoPacket, 0, 0};
+  }
+};
+
+/// A popped event: when it fires, its insertion sequence (the same-tick
+/// tie-break), and what it does.
+struct Event {
+  Time when;
+  std::uint64_t seq = 0;
+  EventTag tag;
+};
+
+/// Executes popped events. A sink may forward kinds it does not own to one
+/// registered sink (the network hands kMobTick to the motion driver) —
+/// never to a per-event closure.
+class EventSink {
+ public:
+  virtual void dispatch(const Event& ev) = 0;
+
+ protected:
+  ~EventSink() = default;
 };
 
 }  // namespace imobif::sim

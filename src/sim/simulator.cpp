@@ -1,29 +1,31 @@
 #include "sim/simulator.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "util/check.hpp"
 
 namespace imobif::sim {
 
-EventId Simulator::at(Time when, EventQueue::Callback fn, EventTag tag) {
+EventId Simulator::at(Time when, const EventTag& tag) {
   if (when < now_) {
     throw std::invalid_argument("Simulator::at: scheduling in the past");
   }
-  return queue_.schedule(when, std::move(fn), std::move(tag));
+  return queue_.schedule(when, tag);
 }
 
 bool Simulator::step(Time until) {
   if (queue_.empty() || queue_.next_time() > until) return false;
-  auto [when, fn] = queue_.pop();
-  IMOBIF_ASSERT(when >= now_, "simulation clock must advance monotonically");
-  now_ = when;
+  if (sink_ == nullptr) {
+    throw std::logic_error("Simulator::step: no event sink installed");
+  }
+  const Event ev = queue_.pop();
+  IMOBIF_ASSERT(ev.when >= now_, "simulation clock must advance monotonically");
+  now_ = ev.when;
   ++executed_;
   if (event_budget_ != 0 && executed_ > event_budget_) {
     throw std::runtime_error("Simulator: event budget exceeded");
   }
-  fn();
+  sink_->dispatch(ev);
   return true;
 }
 

@@ -1,11 +1,13 @@
 // Simulator: the event loop that owns the clock.
 //
-// Components schedule callbacks at absolute or relative times; run() drains
-// events in order, advancing the clock monotonically. A stop flag and event
-// budget guard against runaway protocols in tests.
+// Components schedule event records (event_tag.hpp) at absolute or
+// relative times; run() drains them in order, advancing the clock
+// monotonically, and hands each one to the registered EventSink. A stop
+// flag and event budget guard against runaway protocols in tests.
 #pragma once
 
 #include "sim/event_queue.hpp"
+#include "sim/event_tag.hpp"
 #include "sim/time.hpp"
 
 namespace imobif::sim {
@@ -15,13 +17,15 @@ class Simulator {
  public:
   Time now() const { return now_; }
 
-  /// Schedules at absolute time `when`; must not be in the past. The
-  /// optional tag describes the event for checkpointing (event_tag.hpp).
-  EventId at(Time when, EventQueue::Callback fn, EventTag tag = {});
+  /// Installs the sink every popped event is dispatched to (not owned).
+  void set_sink(EventSink* sink) { sink_ = sink; }
+
+  /// Schedules at absolute time `when`; must not be in the past.
+  EventId at(Time when, const EventTag& tag);
 
   /// Schedules `delay` after the current time.
-  EventId after(Time delay, EventQueue::Callback fn, EventTag tag = {}) {
-    return at(now_ + delay, std::move(fn), std::move(tag));
+  EventId after(Time delay, const EventTag& tag) {
+    return at(now_ + delay, tag);
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -45,18 +49,15 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::size_t executed_events() const { return executed_; }
 
-  /// Lower-bound estimate of the event queue's heap bytes (scale
-  /// accounting; see EventQueue::approx_bytes).
+  /// Heap bytes of the event queue (scale accounting; see
+  /// EventQueue::approx_bytes).
   std::size_t queue_approx_bytes() const { return queue_.approx_bytes(); }
 
   /// Time of the earliest pending event; Time::infinity() when none.
   Time next_event_time() const { return queue_.next_time(); }
 
-  /// Every pending event's (time, seq, tag) in execution order, for
-  /// checkpointing (see event_tag.hpp).
-  std::vector<EventQueue::PendingEvent> pending_tagged() const {
-    return queue_.pending_tagged();
-  }
+  /// Every pending event in execution order, for checkpointing.
+  std::vector<Event> pending() const { return queue_.pending(); }
 
   /// Checkpoint restore: re-seats the clock and the executed-event count.
   /// Only valid on a pristine simulator (no pending events, nothing
@@ -69,6 +70,7 @@ class Simulator {
 
  private:
   EventQueue queue_;
+  EventSink* sink_ = nullptr;
   Time now_ = Time::zero();
   bool stopped_ = false;
   // snap:derived(restore_clock)

@@ -1,6 +1,5 @@
 #include "snap/snapshot.hpp"
 
-#include <any>
 #include <array>
 #include <memory>
 #include <optional>
@@ -355,7 +354,7 @@ void encode_dynamic(Sink& s, exp::InstanceRun& run) {
     s.f64(battery.consumed_move().value());
     s.f64(battery.consumed_other().value());
 
-    const std::vector<net::NeighborInfo> neighbors =
+    const std::vector<net::NeighborInfo>& neighbors =
         node.neighbors().all_entries();
     s.u64(neighbors.size());
     for (const net::NeighborInfo& info : neighbors) {
@@ -434,25 +433,22 @@ void encode_dynamic(Sink& s, exp::InstanceRun& run) {
   s.end_section();
 
   s.begin_section("events");
-  const std::vector<sim::EventQueue::PendingEvent> pending =
-      sim.pending_tagged();
+  const std::vector<sim::Event> pending = sim.pending();
   s.u64(pending.size());
-  for (const sim::EventQueue::PendingEvent& event : pending) {
-    if (!event.tag->tagged()) {
+  for (const sim::Event& event : pending) {
+    const sim::EventTag& tag = event.tag;
+    if (tag.kind == sim::EventTag::Kind::kCallback) {
       throw std::invalid_argument(
           "snapshot: pending event at t=" +
           std::to_string(event.when.seconds()) +
-          "s has no EventTag; only tagged events can be checkpointed");
+          "s is a test callback; only event records can be checkpointed");
     }
     s.i64(event.when.ticks());
-    s.u8(static_cast<std::uint8_t>(event.tag->kind));
-    s.u64(event.tag->a);
-    s.u64(event.tag->b);
-    if (event.tag->kind == sim::EventTag::Kind::kDeliver) {
-      const auto& pkt =
-          std::any_cast<const std::shared_ptr<const net::Packet>&>(
-              event.tag->payload);
-      encode_packet(s, *pkt);
+    s.u8(static_cast<std::uint8_t>(tag.kind));
+    s.u64(tag.a);
+    s.u64(tag.b);
+    if (tag.kind == sim::EventTag::Kind::kDeliver) {
+      encode_packet(s, network.medium().packets().get(tag.packet));
     }
   }
   s.end_section();
@@ -770,46 +766,21 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
 
   // Events last, in encoded (time, sequence) order: the queue hands out
   // fresh sequence numbers in insertion order, so same-tick events keep
-  // their exact relative ordering.
+  // their exact relative ordering. Each decoded record goes back through
+  // the network's one scheduling path; an in-flight packet is stored in
+  // the medium's slab first so the record can name its slot.
   r.begin_section("events");
   const std::uint64_t event_count = r.u64();
   for (std::uint64_t i = 0; i < event_count; ++i) {
     const sim::Time when = sim::Time::from_ticks(r.i64());
-    const std::uint8_t kind_raw = r.u8();
-    const std::uint64_t a = r.u64();
-    const std::uint64_t b = r.u64();
-    switch (static_cast<sim::EventTag::Kind>(kind_raw)) {
-      case sim::EventTag::Kind::kHelloTick:
-        network.node(static_cast<net::NodeId>(a)).restore_hello_at(when);
-        break;
-      case sim::EventTag::Kind::kEmitPacket:
-        network.restore_emission_at(static_cast<net::FlowId>(a), when);
-        break;
-      case sim::EventTag::Kind::kDeliver: {
-        auto pkt = std::make_shared<const net::Packet>(decode_packet(r));
-        network.medium().restore_delivery_at(static_cast<net::NodeId>(a),
-                                             std::move(pkt), when);
-        break;
-      }
-      case sim::EventTag::Kind::kNotifyRetry:
-        network.node(static_cast<net::NodeId>(a))
-            .restore_notify_retry_at(static_cast<net::FlowId>(b), when);
-        break;
-      case sim::EventTag::Kind::kFaultSet:
-        network.medium().restore_fault_event_at(static_cast<net::NodeId>(a),
-                                                b != 0, when);
-        break;
-      case sim::EventTag::Kind::kMobTick:
-        if (run->motion() == nullptr) {
-          throw std::runtime_error(
-              "snapshot: mob tick but the scenario has no mobility model");
-        }
-        run->motion()->restore_tick_at(when);
-        break;
-      default:
-        throw std::runtime_error("snapshot: unknown event kind " +
-                                 std::to_string(kind_raw));
+    sim::EventTag tag;
+    tag.kind = static_cast<sim::EventTag::Kind>(r.u8());
+    tag.a = r.u64();
+    tag.b = r.u64();
+    if (tag.kind == sim::EventTag::Kind::kDeliver) {
+      tag.packet = network.medium().packets().put(decode_packet(r));
     }
+    network.restore_event(when, tag);
   }
   r.end_section();
 

@@ -6,12 +6,12 @@
 // needed to rebuild the object graph), then the dynamic state — simulator
 // clock, per-flow progress, medium counters and channel-loss state, every
 // node's position/battery/neighbor-table/flow-table, policy counters, and
-// the pending event queue re-expressed as EventTags. restore() inverts it:
-// InstanceRun::create_shell() rebuilds the wiring, the restore accessors
-// on each layer re-seat the state, and the tagged events are re-scheduled
-// in their original (time, sequence) order — so a restored run executes
-// the exact event stream the original would have, bit for bit, even in a
-// fresh process.
+// the pending event records (with each in-flight packet inline).
+// restore() inverts it: InstanceRun::create_shell() rebuilds the wiring,
+// the restore accessors on each layer re-seat the state, and the event
+// records are re-inserted through Network::restore_event in their original
+// (time, sequence) order — so a restored run executes the exact event
+// stream the original would have, bit for bit, even in a fresh process.
 //
 // state_hash() digests only the dynamic sections (not "meta"): it answers
 // "are these two runs in the same state?", which is exactly what replay
@@ -29,7 +29,7 @@ namespace imobif::snap {
 
 /// Serializes the run (meta + dynamic state + pending events) as a codec
 /// byte string. Throws std::invalid_argument when the run holds state a
-/// snapshot cannot reconstruct (an untagged pending event).
+/// snapshot cannot reconstruct (a pending test-callback event).
 std::string encode(exp::InstanceRun& run);
 
 /// encode() + atomic file write (see StateWriter::write_file).

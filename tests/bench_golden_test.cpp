@@ -75,9 +75,12 @@ TEST(BenchGolden, FigureReportsMatchCommittedBaselines) {
                                 " > /dev/null";
     ASSERT_EQ(std::system(command.c_str()), 0) << command;
 
+    const std::filesystem::path baseline = baseline_dir / bench.baseline;
+    ASSERT_TRUE(std::filesystem::is_regular_file(baseline))
+        << "missing baseline " << baseline.string();
     const std::string got = strip_wall_ms(slurp(out_json));
-    const std::string want = strip_wall_ms(slurp(baseline_dir / bench.baseline));
-    ASSERT_FALSE(want.empty());
+    const std::string want = strip_wall_ms(slurp(baseline));
+    ASSERT_FALSE(want.empty()) << "empty baseline " << baseline.string();
     // Byte-for-byte (modulo the stripped timing line). On mismatch, point
     // at the first diverging line so the failure is actionable without
     // re-running anything.

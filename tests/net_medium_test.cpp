@@ -117,6 +117,41 @@ TEST(Medium, DeliveryIsDelayedByPropagation) {
   EXPECT_GT(h.net().simulator().now(), sim::Time::zero());
 }
 
+TEST(Medium, BroadcastStoresOnePacketUntilEveryDeliveryRan) {
+  auto h = make_harness({{0, 0}, {100, 0}, {150, 0}, {120, 60}});
+  Medium& medium = h.net().medium();
+  medium.broadcast(h.net().node(0), hello_from(h.net().node(0)));
+  // Three receivers, one stored copy.
+  EXPECT_EQ(h.net().simulator().pending_events(), 3u);
+  EXPECT_EQ(medium.packets().in_use(), 1u);
+  EXPECT_TRUE(h.net().simulator().step());
+  EXPECT_EQ(medium.packets().in_use(), 1u);  // two deliveries still pending
+  h.net().simulator().run();
+  EXPECT_EQ(medium.counters().delivered, 3u);
+  EXPECT_EQ(medium.packets().in_use(), 0u);
+
+  // Unicasts store their own copy; the freed slot is reused.
+  medium.unicast(h.net().node(1), 2, hello_from(h.net().node(1)));
+  EXPECT_EQ(medium.packets().in_use(), 1u);
+  h.net().simulator().run();
+  EXPECT_EQ(medium.packets().in_use(), 0u);
+}
+
+TEST(Medium, SlabEmptiesWhenReceiversCrashOrDieMidFlight) {
+  auto h = make_harness({{0, 0}, {100, 0}, {150, 0}, {120, 60}});
+  Medium& medium = h.net().medium();
+  medium.broadcast(h.net().node(0), hello_from(h.net().node(0)));
+  medium.broadcast(h.net().node(3), hello_from(h.net().node(3)));
+  EXPECT_EQ(medium.packets().in_use(), 2u);
+  // In flight: one receiver crashes, another's battery runs out.
+  h.net().node(1).set_faulted(true);
+  h.net().node(2).battery().draw(util::Joules{1e9}, energy::DrawKind::kOther);
+  h.net().simulator().run();
+  EXPECT_EQ(medium.packets().in_use(), 0u);
+  EXPECT_FALSE(h.net().node(1).neighbors().find(0, h.net().simulator().now()));
+  EXPECT_TRUE(h.net().node(3).neighbors().find(0, h.net().simulator().now()));
+}
+
 TEST(Medium, DuplicateNodeIdRejected) {
   sim::Simulator sim;
   Medium medium(sim, MediumConfig{});

@@ -1,6 +1,10 @@
 // NeighborTable and FlowTable unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "net/flow_table.hpp"
 #include "net/neighbor_table.hpp"
 
@@ -68,6 +72,79 @@ TEST(NeighborTable, TimeoutAdjustable) {
   t.upsert(1, {0, 0}, Joules{1.0}, sec(0.0));
   t.set_timeout(sec(100.0));
   EXPECT_TRUE(t.find(1, sec(90.0)).has_value());
+}
+
+TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
+  // Differential check of the id-sorted flat vector against a std::map
+  // reference: random upserts (inserts and refreshes), finds and purges
+  // over a small id space, with the clock advancing so entries expire.
+  const sim::Time timeout = sec(30.0);
+  NeighborTable table(timeout);
+  std::map<NodeId, NeighborInfo> reference;
+  const auto expired = [&](const NeighborInfo& info, sim::Time now) {
+    return now - info.last_heard > timeout;
+  };
+  std::uint64_t x = 20240611;
+  const auto rnd = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  std::int64_t ticks = 0;
+  for (int step = 0; step < 5000; ++step) {
+    ticks += static_cast<std::int64_t>(rnd() % 2'000'000);  // < 2 s
+    const sim::Time now = sim::Time::from_ticks(ticks);
+    const auto id = static_cast<NodeId>(rnd() % 40);
+    switch (rnd() % 5) {
+      case 0:
+      case 1: {
+        const geom::Vec2 pos{static_cast<double>(rnd() % 1000), 1.0};
+        const Joules energy{static_cast<double>(rnd() % 100)};
+        table.upsert(id, pos, energy, now);
+        reference[id] = NeighborInfo{id, pos, energy, now};
+        break;
+      }
+      case 2:
+      case 3: {
+        const auto got = table.find(id, now);
+        const auto it = reference.find(id);
+        const bool want = it != reference.end() && !expired(it->second, now);
+        ASSERT_EQ(got.has_value(), want) << "step " << step << " id " << id;
+        if (want) {
+          EXPECT_EQ(got->position, it->second.position);
+          EXPECT_EQ(got->last_heard, it->second.last_heard);
+        }
+        break;
+      }
+      default:
+        table.purge(now);
+        std::erase_if(reference,
+                      [&](const auto& kv) { return expired(kv.second, now); });
+        break;
+    }
+    const std::vector<NeighborInfo>& entries = table.all_entries();
+    ASSERT_EQ(entries.size(), reference.size()) << "step " << step;
+    ASSERT_TRUE(std::is_sorted(entries.begin(), entries.end(),
+                               [](const NeighborInfo& a,
+                                  const NeighborInfo& b) {
+                                 return a.id < b.id;
+                               }));
+    auto it = reference.begin();
+    for (const NeighborInfo& info : entries) {
+      ASSERT_EQ(info.id, it->first);
+      ASSERT_EQ(info.residual_energy.value(),
+                it->second.residual_energy.value());
+      ++it;
+    }
+    std::vector<NodeId> live;
+    for (const NeighborInfo& info : table.snapshot(now)) {
+      live.push_back(info.id);
+    }
+    std::vector<NodeId> want_live;
+    for (const auto& [rid, info] : reference) {
+      if (!expired(info, now)) want_live.push_back(rid);
+    }
+    ASSERT_EQ(live, want_live) << "step " << step;
+  }
 }
 
 TEST(FlowTable, GetOrCreateInitializesFromHeader) {

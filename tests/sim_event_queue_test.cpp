@@ -9,6 +9,19 @@
 namespace imobif::sim {
 namespace {
 
+/// A record whose `a` operand labels the event, so tests can read the
+/// execution order off the popped stream.
+EventTag label(int i) {
+  return EventTag::hello_tick(static_cast<std::uint64_t>(i));
+}
+int label_of(const Event& ev) { return static_cast<int>(ev.tag.a); }
+
+std::vector<int> drain(EventQueue& q) {
+  std::vector<int> order;
+  while (!q.empty()) order.push_back(label_of(q.pop()));
+  return order;
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -18,51 +31,58 @@ TEST(EventQueue, EmptyInitially) {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(Time::from_seconds(3.0), [&] { order.push_back(3); });
-  q.schedule(Time::from_seconds(1.0), [&] { order.push_back(1); });
-  q.schedule(Time::from_seconds(2.0), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.schedule(Time::from_seconds(3.0), label(3));
+  q.schedule(Time::from_seconds(1.0), label(1));
+  q.schedule(Time::from_seconds(2.0), label(2));
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
   const Time t = Time::from_seconds(1.0);
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(t, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (int i = 0; i < 5; ++i) q.schedule(t, label(i));
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, PopReturnsScheduledTime) {
+TEST(EventQueue, PopReturnsTheScheduledRecord) {
   EventQueue q;
-  q.schedule(Time::from_seconds(7.5), [] {});
-  EXPECT_EQ(q.pop().when, Time::from_seconds(7.5));
+  q.schedule(Time::from_seconds(7.5), EventTag::notify_retry(4, 9));
+  const Event ev = q.pop();
+  EXPECT_EQ(ev.when, Time::from_seconds(7.5));
+  EXPECT_EQ(ev.tag.kind, EventTag::Kind::kNotifyRetry);
+  EXPECT_EQ(ev.tag.a, 4u);
+  EXPECT_EQ(ev.tag.b, 9u);
+  EXPECT_EQ(ev.tag.packet, EventTag::kNoPacket);
 }
 
 TEST(EventQueue, NextTimeReflectsEarliest) {
   EventQueue q;
-  q.schedule(Time::from_seconds(5.0), [] {});
-  q.schedule(Time::from_seconds(2.0), [] {});
+  q.schedule(Time::from_seconds(5.0), label(0));
+  q.schedule(Time::from_seconds(2.0), label(1));
   EXPECT_EQ(q.next_time(), Time::from_seconds(2.0));
+}
+
+TEST(EventQueue, IdsAreNeverZero) {
+  // Callers (Node's HELLO and retry handles) use 0 as "no event".
+  EventQueue q;
+  for (int i = 0; i < 64; ++i) {
+    const EventId id = q.schedule(Time::from_seconds(1.0), label(i));
+    EXPECT_NE(id, 0u);
+    if (i % 2 == 0) q.cancel(id);  // churn the slot free list
+  }
 }
 
 TEST(EventQueue, CancelRemovesEvent) {
   EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(Time::from_seconds(1.0), [&] { ran = true; });
+  const EventId id = q.schedule(Time::from_seconds(1.0), label(1));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_time(), Time::infinity());
-  EXPECT_FALSE(ran);
 }
 
 TEST(EventQueue, CancelTwiceFails) {
   EventQueue q;
-  const EventId id = q.schedule(Time::from_seconds(1.0), [] {});
+  const EventId id = q.schedule(Time::from_seconds(1.0), label(1));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
@@ -70,26 +90,68 @@ TEST(EventQueue, CancelTwiceFails) {
 TEST(EventQueue, CancelUnknownFails) {
   EventQueue q;
   EXPECT_FALSE(q.cancel(9999));
+  EXPECT_FALSE(q.cancel(0));
+  q.schedule(Time::from_seconds(1.0), label(1));
+  // A handle naming a real slot but a generation that never existed.
+  EXPECT_FALSE(q.cancel((EventId{2} << 32) | 0u));
+  EXPECT_FALSE(q.cancel((EventId{3} << 32) | 0u));
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, CancelAfterPopFails) {
   EventQueue q;
-  const EventId id = q.schedule(Time::from_seconds(1.0), [] {});
+  const EventId id = q.schedule(Time::from_seconds(1.0), label(1));
   q.pop();
   EXPECT_FALSE(q.cancel(id));
 }
 
+TEST(EventQueue, StaleIdAfterSlotReuseLeavesNewOccupantAlone) {
+  // The popped event's slot is reused by the next schedule(); the old
+  // handle names the same slot under an older generation.
+  EventQueue q;
+  const EventId popped = q.schedule(Time::from_seconds(1.0), label(1));
+  q.pop();
+  const EventId reused = q.schedule(Time::from_seconds(2.0), label(2));
+  EXPECT_EQ(static_cast<std::uint32_t>(popped),
+            static_cast<std::uint32_t>(reused));  // same slot
+  EXPECT_FALSE(q.cancel(popped));
+  EXPECT_EQ(q.size(), 1u);
+
+  // Same after a cancel: the cancelled handle cannot reach its successor.
+  const EventId cancelled = q.schedule(Time::from_seconds(3.0), label(3));
+  ASSERT_TRUE(q.cancel(cancelled));
+  const EventId successor = q.schedule(Time::from_seconds(4.0), label(4));
+  EXPECT_EQ(static_cast<std::uint32_t>(cancelled),
+            static_cast<std::uint32_t>(successor));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(drain(q), (std::vector<int>{2, 4}));
+  EXPECT_FALSE(q.cancel(reused));
+  EXPECT_FALSE(q.cancel(successor));
+}
+
+TEST(EventQueue, CancelledEntryIsSkippedAfterItsSlotIsReused) {
+  // The cancelled event's heap entry stays behind (lazy cancellation)
+  // while a new event reuses its slot; the stale entry must not run the
+  // new occupant's record at the old time.
+  EventQueue q;
+  const EventId early = q.schedule(Time::from_seconds(1.0), label(1));
+  ASSERT_TRUE(q.cancel(early));
+  q.schedule(Time::from_seconds(5.0), label(5));  // reuses early's slot
+  EXPECT_EQ(q.next_time(), Time::from_seconds(5.0));
+  const Event ev = q.pop();
+  EXPECT_EQ(ev.when, Time::from_seconds(5.0));
+  EXPECT_EQ(label_of(ev), 5);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, CancelMiddleKeepsOthers) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(Time::from_seconds(1.0), [&] { order.push_back(1); });
-  const EventId mid =
-      q.schedule(Time::from_seconds(2.0), [&] { order.push_back(2); });
-  q.schedule(Time::from_seconds(3.0), [&] { order.push_back(3); });
+  q.schedule(Time::from_seconds(1.0), label(1));
+  const EventId mid = q.schedule(Time::from_seconds(2.0), label(2));
+  q.schedule(Time::from_seconds(3.0), label(3));
   q.cancel(mid);
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
@@ -99,8 +161,8 @@ TEST(EventQueue, PopOnEmptyThrows) {
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.schedule(Time::from_seconds(1.0), [] {});
-  q.schedule(Time::from_seconds(2.0), [] {});
+  const EventId a = q.schedule(Time::from_seconds(1.0), label(1));
+  q.schedule(Time::from_seconds(2.0), label(2));
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
@@ -108,171 +170,183 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-// --- Batched same-tick draining (DESIGN.md §12) ---------------------------
+// --- Same-tick ordering and cancellation --------------------------------
 
-TEST(EventQueueBatch, StageDueBatchDrainsWholeTick) {
+TEST(EventQueueSameTick, ManyPeersPopInSeqOrder) {
   EventQueue q;
-  const Time t = Time::from_seconds(1.0);
-  for (int i = 0; i < 4; ++i) q.schedule(t, [] {});
-  q.schedule(Time::from_seconds(2.0), [] {});
-  EXPECT_EQ(q.staged(), 0u);
-  EXPECT_EQ(q.stage_due_batch(), 4u);  // the whole 1.0 s tick, not the 2.0 s
-  EXPECT_EQ(q.staged(), 4u);
-  // Idempotent while a batch is in flight: a batch never mixes two times.
-  EXPECT_EQ(q.stage_due_batch(), 4u);
-  EXPECT_EQ(q.size(), 5u);  // staging removes nothing
-}
-
-TEST(EventQueueBatch, SameTickDrainPreservesSeqOrder) {
-  EventQueue q;
-  std::vector<int> order;
   const Time t = Time::from_seconds(3.0);
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(t, [&order, i] { order.push_back(i); });
-  }
-  q.stage_due_batch();
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (int i = 0; i < 8; ++i) q.schedule(t, label(i));
+  q.schedule(Time::from_seconds(1.0), label(-1));
+  EXPECT_EQ(drain(q), (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(EventQueueBatch, ScheduleDuringBatchRunsAfterStagedPeers) {
-  // An event scheduled mid-batch for the *same* tick carries a larger seq
-  // and must run after every already-staged peer — this is the property
-  // that keeps batched execution bit-identical to per-event popping.
+TEST(EventQueueSameTick, NewcomerRunsAfterEarlierPeers) {
+  // An event scheduled while its tick is running carries a larger seq and
+  // must run after every peer already queued for that tick.
   EventQueue q;
   std::vector<int> order;
   const Time t = Time::from_seconds(1.0);
-  q.schedule(t, [&] {
-    order.push_back(0);
-    q.schedule(t, [&] { order.push_back(9); });  // same tick, mid-batch
-  });
-  q.schedule(t, [&] { order.push_back(1); });
-  q.schedule(t, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  for (int i = 0; i < 3; ++i) q.schedule(t, label(i));
+  while (!q.empty()) {
+    const int got = label_of(q.pop());
+    order.push_back(got);
+    if (got == 0) q.schedule(t, label(9));  // same tick, mid-drain
+  }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
 }
 
-TEST(EventQueueBatch, HeapNewcomerBetweenTicksRunsBeforeLaterBatch) {
-  // An event scheduled mid-batch for a time *between* the staged tick and
-  // the rest of the heap must run in its proper slot: pop() compares the
-  // staged front against the heap front every time.
+TEST(EventQueueSameTick, NewcomerBetweenTicksRunsInItsSlot) {
   EventQueue q;
   std::vector<int> order;
-  const Time t1 = Time::from_seconds(1.0);
-  const Time t2 = Time::from_seconds(2.0);
-  q.schedule(t2, [&] { order.push_back(20); });
-  q.schedule(t1, [&] {
-    order.push_back(1);
-    // Newcomer between the staged tick (1.0) and the heap's 2.0.
-    q.schedule(Time::from_seconds(1.5), [&] { order.push_back(15); });
-  });
-  while (!q.empty()) q.pop().fn();
+  q.schedule(Time::from_seconds(2.0), label(20));
+  q.schedule(Time::from_seconds(1.0), label(1));
+  while (!q.empty()) {
+    const int got = label_of(q.pop());
+    order.push_back(got);
+    // Newcomer between the running tick (1.0) and the queued 2.0.
+    if (got == 1) q.schedule(Time::from_seconds(1.5), label(15));
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 15, 20}));
 }
 
-TEST(EventQueueBatch, CancelDuringStagedBatchIsHonored) {
+TEST(EventQueueSameTick, CancelledPeerIsSkippedAndItsSlotReused) {
+  // A same-tick peer is cancelled after its tick started running and its
+  // slot is immediately reused for the same tick: the stale entry is
+  // skipped, the newcomer runs last.
   EventQueue q;
-  std::vector<int> order;
   const Time t = Time::from_seconds(1.0);
-  q.schedule(t, [&] { order.push_back(0); });
-  const EventId victim = q.schedule(t, [&] { order.push_back(1); });
-  q.schedule(t, [&] { order.push_back(2); });
-  ASSERT_EQ(q.stage_due_batch(), 3u);
-  EXPECT_TRUE(q.cancel(victim));  // cancel while staged, before its pop
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  q.schedule(t, label(0));
+  const EventId victim = q.schedule(t, label(1));
+  q.schedule(t, label(2));
+  std::vector<int> order{label_of(q.pop())};
+  ASSERT_TRUE(q.cancel(victim));
+  EXPECT_EQ(q.size(), 1u);
+  const EventId newcomer = q.schedule(t, label(7));
+  EXPECT_EQ(static_cast<std::uint32_t>(newcomer),
+            static_cast<std::uint32_t>(victim));
+  for (const int got : drain(q)) order.push_back(got);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 7}));
   EXPECT_FALSE(q.cancel(victim));  // spent handle stays spent
 }
 
-TEST(EventQueueBatch, CancelFromInsideBatchCallback) {
+TEST(EventQueueSameTick, CancelFromInsideTick) {
   // The in-simulation shape: a same-tick event cancels a peer that is
-  // already staged behind it (e.g. a packet arrival cancelling a timeout).
+  // already queued behind it (e.g. a packet arrival cancelling a timeout).
   EventQueue q;
   std::vector<int> order;
   const Time t = Time::from_seconds(1.0);
-  EventId timeout = 0;
-  q.schedule(t, [&] {
-    order.push_back(0);
-    EXPECT_TRUE(q.cancel(timeout));
-  });
-  timeout = q.schedule(t, [&] { order.push_back(1); });
-  q.schedule(t, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  q.schedule(t, label(0));
+  const EventId timeout = q.schedule(t, label(1));
+  q.schedule(t, label(2));
+  while (!q.empty()) {
+    const int got = label_of(q.pop());
+    order.push_back(got);
+    if (got == 0) {
+      EXPECT_TRUE(q.cancel(timeout));
+    }
+  }
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
 }
 
-TEST(EventQueueBatch, NextTimeSeesStagedBatch) {
-  EventQueue q;
-  const Time t = Time::from_seconds(1.0);
-  q.schedule(t, [] {});
-  q.schedule(Time::from_seconds(2.0), [] {});
-  q.stage_due_batch();
-  EXPECT_EQ(q.next_time(), t);  // staged entries still count
-  q.pop();
-  EXPECT_EQ(q.next_time(), Time::from_seconds(2.0));
-}
-
-TEST(EventQueueBatch, PendingTaggedMatchesPreBatchEnumeration) {
-  // Property: on a randomized schedule, pending_tagged() enumerates the
-  // same (time, seq) stream whether or not a batch is staged — staging is
-  // invisible to checkpoint enumeration.
+TEST(EventQueueSameTick, PendingEnumeratesExecutionOrder) {
+  // Property: on a randomized schedule with cancellations, pending()
+  // enumerates exactly the (time, seq, record) stream pop() then yields —
+  // the contract checkpointing relies on.
   EventQueue q;
   std::uint64_t x = 987654321;
   for (int i = 0; i < 300; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     // Coarse buckets force plenty of same-tick collisions.
     const auto t = static_cast<std::int64_t>(x % 16);
-    q.schedule(Time::from_ticks(t), [] {}, EventTag{});
+    const EventId id = q.schedule(Time::from_ticks(t), label(i));
+    if (i % 7 == 3) q.cancel(id);
   }
-  const auto before = q.pending_tagged();
-  ASSERT_EQ(before.size(), 300u);
-  q.stage_due_batch();
-  const auto after = q.pending_tagged();
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(after[i].when, before[i].when) << "index " << i;
-    EXPECT_EQ(after[i].seq, before[i].seq) << "index " << i;
-  }
+  const auto before = q.pending();
+  ASSERT_EQ(before.size(), q.size());
   // Execution order equals enumeration order.
   std::size_t k = 0;
-  Time prev = Time::zero();
   while (!q.empty()) {
-    const Time cur = q.pop().when;
-    EXPECT_EQ(cur, before[k].when) << "pop " << k;
-    EXPECT_GE(cur, prev);
-    prev = cur;
+    const Event ev = q.pop();
+    EXPECT_EQ(ev.when, before[k].when) << "pop " << k;
+    EXPECT_EQ(ev.seq, before[k].seq) << "pop " << k;
+    EXPECT_EQ(ev.tag.a, before[k].tag.a) << "pop " << k;
     ++k;
   }
   EXPECT_EQ(k, before.size());
 }
 
-TEST(EventQueueBatch, BatchedStreamMatchesReferenceOrdering) {
+TEST(EventQueueSameTick, StreamMatchesReferenceOrdering) {
   // Differential check: run the same randomized schedule through the queue
   // and through a plain stable-sorted reference; the (time, seq) streams
   // must be identical, including mid-drain same-tick insertions.
   EventQueue q;
   std::vector<std::pair<std::int64_t, int>> reference;  // (ticks, label)
-  std::vector<int> got;
   std::uint64_t x = 5551212;
-  int label = 0;
   for (int i = 0; i < 200; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const auto t = static_cast<std::int64_t>(x % 32);
-    const int my_label = label++;
-    reference.emplace_back(t, my_label);
-    q.schedule(Time::from_ticks(t), [&got, my_label] {
-      got.push_back(my_label);
-    });
+    reference.emplace_back(t, i);
+    q.schedule(Time::from_ticks(t), label(i));
   }
   std::stable_sort(reference.begin(), reference.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  while (!q.empty()) q.pop().fn();
+  const std::vector<int> got = drain(q);
   ASSERT_EQ(got.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(got[i], reference[i].second) << "position " << i;
+  }
+}
+
+TEST(EventQueue, RandomizedCancelAndReuseMatchesReference) {
+  // Differential check of generation-counted cancellation under slot
+  // churn: interleave schedule / cancel (of live and of stale handles) /
+  // pop against a reference set, and require identical outcomes.
+  EventQueue q;
+  struct Ref {
+    std::int64_t ticks;
+    std::uint64_t seq;
+    int label;
+    EventId id;
+  };
+  std::vector<Ref> live;
+  std::vector<EventId> spent;
+  std::uint64_t x = 424242;
+  std::uint64_t seq = 0;
+  int next_label = 0;
+  const auto rnd = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  std::int64_t now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rnd() % 4;
+    if (op <= 1 || live.empty()) {
+      const std::int64_t t = now + static_cast<std::int64_t>(rnd() % 8);
+      const EventId id = q.schedule(Time::from_ticks(t), label(next_label));
+      live.push_back({t, seq++, next_label++, id});
+    } else if (op == 2) {
+      const std::size_t victim = rnd() % live.size();
+      EXPECT_TRUE(q.cancel(live[victim].id));
+      spent.push_back(live[victim].id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      if (!spent.empty()) {
+        EXPECT_FALSE(q.cancel(spent[rnd() % spent.size()]));
+      }
+    } else {
+      const auto first = std::min_element(
+          live.begin(), live.end(), [](const Ref& a, const Ref& b) {
+            return a.ticks != b.ticks ? a.ticks < b.ticks : a.seq < b.seq;
+          });
+      const Event ev = q.pop();
+      EXPECT_EQ(ev.when.ticks(), first->ticks);
+      EXPECT_EQ(label_of(ev), first->label);
+      now = first->ticks;
+      spent.push_back(first->id);
+      live.erase(first);
+    }
+    ASSERT_EQ(q.size(), live.size());
   }
 }
 
@@ -285,7 +359,7 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     times.push_back(static_cast<std::int64_t>(x % 100000));
   }
-  for (const auto t : times) q.schedule(Time::from_ticks(t), [] {});
+  for (const auto t : times) q.schedule(Time::from_ticks(t), label(0));
   Time prev = Time::zero();
   while (!q.empty()) {
     const Time cur = q.pop().when;

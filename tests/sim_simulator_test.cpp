@@ -2,22 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace imobif::sim {
 namespace {
 
+/// The test-only event kind: stores each lambda in a table and schedules
+/// a kCallback record naming its index. Domain events are plain records
+/// executed by net::Network::dispatch and never go through here.
+class CallbackSink final : public EventSink {
+ public:
+  explicit CallbackSink(Simulator& sim) : sim_(sim) { sim.set_sink(this); }
+
+  EventId at(Time when, std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    return sim_.at(when, EventTag{EventTag::Kind::kCallback,
+                                  EventTag::kNoPacket, fns_.size() - 1, 0});
+  }
+  EventId after(Time delay, std::function<void()> fn) {
+    return at(sim_.now() + delay, std::move(fn));
+  }
+
+  void dispatch(const Event& ev) override {
+    if (ev.tag.kind != EventTag::Kind::kCallback) {
+      throw std::logic_error("CallbackSink: not a callback event");
+    }
+    // Moved out first: the callback may schedule more callbacks, which
+    // can reallocate the table.
+    const std::function<void()> fn = std::move(fns_[ev.tag.a]);
+    fn();
+  }
+
+ private:
+  Simulator& sim_;
+  std::vector<std::function<void()>> fns_;
+};
+
 TEST(Simulator, StartsAtZero) {
   Simulator sim;
+  CallbackSink cb(sim);
   EXPECT_EQ(sim.now(), Time::zero());
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulator, RunsEventsAndAdvancesClock) {
   Simulator sim;
+  CallbackSink cb(sim);
   std::vector<double> times;
-  sim.at(Time::from_seconds(1.0), [&] { times.push_back(sim.now().seconds()); });
-  sim.at(Time::from_seconds(2.0), [&] { times.push_back(sim.now().seconds()); });
+  cb.at(Time::from_seconds(1.0), [&] { times.push_back(sim.now().seconds()); });
+  cb.at(Time::from_seconds(2.0), [&] { times.push_back(sim.now().seconds()); });
   const std::size_t ran = sim.run();
   EXPECT_EQ(ran, 2u);
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
@@ -26,8 +62,9 @@ TEST(Simulator, RunsEventsAndAdvancesClock) {
 
 TEST(Simulator, AfterSchedulesRelative) {
   Simulator sim;
-  sim.at(Time::from_seconds(5.0), [&] {
-    sim.after(Time::from_seconds(2.0), [] {});
+  CallbackSink cb(sim);
+  cb.at(Time::from_seconds(5.0), [&] {
+    cb.after(Time::from_seconds(2.0), [] {});
   });
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now().seconds(), 7.0);
@@ -35,17 +72,19 @@ TEST(Simulator, AfterSchedulesRelative) {
 
 TEST(Simulator, SchedulingInPastThrows) {
   Simulator sim;
-  sim.at(Time::from_seconds(5.0), [] {});
+  CallbackSink cb(sim);
+  cb.at(Time::from_seconds(5.0), [] {});
   sim.run();
-  EXPECT_THROW(sim.at(Time::from_seconds(1.0), [] {}),
+  EXPECT_THROW(cb.at(Time::from_seconds(1.0), [] {}),
                std::invalid_argument);
 }
 
 TEST(Simulator, RunUntilHorizonLeavesLaterEvents) {
   Simulator sim;
+  CallbackSink cb(sim);
   bool early = false, late = false;
-  sim.at(Time::from_seconds(1.0), [&] { early = true; });
-  sim.at(Time::from_seconds(10.0), [&] { late = true; });
+  cb.at(Time::from_seconds(1.0), [&] { early = true; });
+  cb.at(Time::from_seconds(10.0), [&] { late = true; });
   sim.run(Time::from_seconds(5.0));
   EXPECT_TRUE(early);
   EXPECT_FALSE(late);
@@ -58,9 +97,10 @@ TEST(Simulator, RunUntilHorizonLeavesLaterEvents) {
 
 TEST(Simulator, StepExecutesSingleEvent) {
   Simulator sim;
+  CallbackSink cb(sim);
   int count = 0;
-  sim.at(Time::from_seconds(1.0), [&] { ++count; });
-  sim.at(Time::from_seconds(2.0), [&] { ++count; });
+  cb.at(Time::from_seconds(1.0), [&] { ++count; });
+  cb.at(Time::from_seconds(2.0), [&] { ++count; });
   EXPECT_TRUE(sim.step());
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(sim.step());
@@ -70,9 +110,10 @@ TEST(Simulator, StepExecutesSingleEvent) {
 
 TEST(Simulator, StopEndsRunEarly) {
   Simulator sim;
+  CallbackSink cb(sim);
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
-    sim.at(Time::from_seconds(i), [&] {
+    cb.at(Time::from_seconds(i), [&] {
       if (++count == 3) sim.stop();
     });
   }
@@ -86,8 +127,9 @@ TEST(Simulator, StopEndsRunEarly) {
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
+  CallbackSink cb(sim);
   bool ran = false;
-  const EventId id = sim.at(Time::from_seconds(1.0), [&] { ran = true; });
+  const EventId id = cb.at(Time::from_seconds(1.0), [&] { ran = true; });
   EXPECT_TRUE(sim.cancel(id));
   sim.run();
   EXPECT_FALSE(ran);
@@ -95,21 +137,23 @@ TEST(Simulator, CancelPreventsExecution) {
 
 TEST(Simulator, EventBudgetAborts) {
   Simulator sim;
+  CallbackSink cb(sim);
   sim.set_event_budget(10);
   // Self-perpetuating event chain.
   std::function<void()> tick = [&] {
-    sim.after(Time::from_seconds(1.0), tick);
+    cb.after(Time::from_seconds(1.0), tick);
   };
-  sim.after(Time::from_seconds(1.0), tick);
+  cb.after(Time::from_seconds(1.0), tick);
   EXPECT_THROW(sim.run(), std::runtime_error);
 }
 
 TEST(Simulator, NestedSchedulingSameTickRuns) {
   Simulator sim;
+  CallbackSink cb(sim);
   std::vector<int> order;
-  sim.at(Time::from_seconds(1.0), [&] {
+  cb.at(Time::from_seconds(1.0), [&] {
     order.push_back(1);
-    sim.after(Time::zero(), [&] { order.push_back(2); });
+    cb.after(Time::zero(), [&] { order.push_back(2); });
   });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -117,9 +161,36 @@ TEST(Simulator, NestedSchedulingSameTickRuns) {
 
 TEST(Simulator, ExecutedEventsCounter) {
   Simulator sim;
-  for (int i = 1; i <= 5; ++i) sim.at(Time::from_seconds(i), [] {});
+  CallbackSink cb(sim);
+  for (int i = 1; i <= 5; ++i) cb.at(Time::from_seconds(i), [] {});
   sim.run();
   EXPECT_EQ(sim.executed_events(), 5u);
+}
+
+TEST(Simulator, DispatchesRecordsToTheSink) {
+  struct Recorder final : EventSink {
+    std::vector<Event> got;
+    void dispatch(const Event& ev) override { got.push_back(ev); }
+  };
+  Simulator sim;
+  Recorder recorder;
+  sim.set_sink(&recorder);
+  sim.at(Time::from_seconds(2.0), EventTag::emit_packet(7));
+  sim.at(Time::from_seconds(1.0), EventTag::fault_set(3, true));
+  EXPECT_EQ(sim.run(), 2u);
+  ASSERT_EQ(recorder.got.size(), 2u);
+  EXPECT_EQ(recorder.got[0].when, Time::from_seconds(1.0));
+  EXPECT_EQ(recorder.got[0].tag.kind, EventTag::Kind::kFaultSet);
+  EXPECT_EQ(recorder.got[0].tag.a, 3u);
+  EXPECT_EQ(recorder.got[0].tag.b, 1u);
+  EXPECT_EQ(recorder.got[1].tag.kind, EventTag::Kind::kEmitPacket);
+  EXPECT_EQ(recorder.got[1].tag.a, 7u);
+}
+
+TEST(Simulator, StepWithoutSinkThrows) {
+  Simulator sim;
+  sim.at(Time::from_seconds(1.0), EventTag::mob_tick());
+  EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 }  // namespace

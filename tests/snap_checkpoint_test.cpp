@@ -147,6 +147,37 @@ TEST(SnapCheckpoint, SaveRestoreFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(SnapCheckpoint, RestoredInFlightPacketsLeaveTheSlabEmpty) {
+  // Snapshot with deliveries in flight: restore stores one slab copy per
+  // pending kDeliver record, and the slab is empty again once they ran.
+  const exp::ScenarioParams params = lossy_ge_params();
+  util::Rng rng(params.seed);
+  const exp::FlowInstance instance = exp::sample_instance(params, rng);
+  auto run = exp::InstanceRun::create(instance, params,
+                                      core::MobilityMode::kInformed, {});
+  const auto deliveries = [](exp::InstanceRun& r) {
+    std::size_t n = 0;
+    for (const sim::Event& ev : r.network().simulator().pending()) {
+      if (ev.tag.kind == sim::EventTag::Kind::kDeliver) ++n;
+    }
+    return n;
+  };
+  while (deliveries(*run) == 0) ASSERT_FALSE(run->advance(1));
+  const std::size_t in_flight = deliveries(*run);
+
+  auto restored = restore(encode(*run));
+  net::Network& network = restored->network();
+  EXPECT_EQ(network.medium().packets().in_use(), in_flight);
+  // Silence the beacons and drain the queue: the flow runs out, and
+  // nothing is left in flight or in the slab.
+  for (std::size_t i = 0; i < network.node_count(); ++i) {
+    network.node(static_cast<net::NodeId>(i)).stop_hello();
+  }
+  network.simulator().run();
+  EXPECT_EQ(network.simulator().pending_events(), 0u);
+  EXPECT_EQ(network.medium().packets().in_use(), 0u);
+}
+
 TEST(SnapCheckpoint, DebugJsonNamesEverySection) {
   const exp::ScenarioParams params = base_params();
   util::Rng rng(params.seed);
