@@ -1,18 +1,18 @@
 // Shared helpers for the figure-reproduction binaries.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/experiments.hpp"
 #include "runtime/report.hpp"
 #include "runtime/sweep.hpp"
-#include "svc/client.hpp"
-#include "svc/frame.hpp"
 #include "util/args.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/stats.hpp"
@@ -30,8 +30,6 @@ namespace imobif::bench {
 ///   --checkpoint-dir D  persist per-unit results/checkpoints under D
 ///   --resume        reuse results/checkpoints found in --checkpoint-dir
 ///   --checkpoint-every-s T  checkpoint cadence in sim-seconds (default 30)
-///   --remote HOST:PORT  run sweeps on an imobif_sweepd farm instead of
-///                   in-process (results stay bit-identical either way)
 struct BenchConfig {
   std::size_t instances = 0;
   std::uint64_t seed = 0;
@@ -42,8 +40,21 @@ struct BenchConfig {
   std::uint64_t fault_seed = 0;
   bool fault_seed_set = false;
   runtime::CheckpointOptions checkpoint;
-  std::string remote;  ///< "host:port" of an imobif_sweepd coordinator
 };
+
+/// Parses an instance count (--instances or positional N): a whole number
+/// >= 1 with nothing trailing. Throws std::invalid_argument naming the
+/// flag otherwise.
+inline std::size_t parse_instances(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value == 0) {
+    throw std::invalid_argument(
+        "Args: --instances expects a positive integer, got " + text);
+  }
+  return value;
+}
 
 inline BenchConfig parse_bench_args(int argc, char** argv,
                                     std::size_t default_instances) {
@@ -53,7 +64,7 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
               << " [N] [--instances N] [--seed S] [--jobs N] [--json PATH]"
                  " [--loss P] [--fault-seed S]\n"
                  "       [--checkpoint-dir D] [--resume]"
-                 " [--checkpoint-every-s T] [--remote HOST:PORT]\n"
+                 " [--checkpoint-every-s T]\n"
                  "  N / --instances  flow instances per series (default "
               << default_instances
               << ")\n"
@@ -69,18 +80,16 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
                  "                   checkpoints so a killed sweep can resume\n"
                  "  --resume         reuse files found in --checkpoint-dir\n"
                  "  --checkpoint-every-s  checkpoint cadence in simulated\n"
-                 "                   seconds (default 30)\n"
-                 "  --remote         run sweeps on an imobif_sweepd farm at\n"
-                 "                   HOST:PORT (bit-identical results)\n";
+                 "                   seconds (default 30)\n";
     std::exit(0);
   }
   BenchConfig config;
   config.instances = default_instances;
-  if (!args.positional().empty()) {
-    config.instances = std::stoul(args.positional().front());
+  if (args.has("instances")) {
+    config.instances = parse_instances(args.get_string("instances"));
+  } else if (!args.positional().empty()) {
+    config.instances = parse_instances(args.positional().front());
   }
-  config.instances = static_cast<std::size_t>(
-      args.get_int("instances", static_cast<std::int64_t>(config.instances)));
   config.seed_set = args.has("seed");
   if (config.seed_set) {
     config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
@@ -98,7 +107,6 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
   config.checkpoint.resume = args.get_bool("resume", false);
   config.checkpoint.every_sim_s =
       args.get_double("checkpoint-every-s", config.checkpoint.every_sim_s);
-  config.remote = args.get_string("remote", "");
   return config;
 }
 
@@ -180,14 +188,11 @@ struct FaultCounters {
 };
 
 /// Adds the drop/retry counters to the artifact. Counters are exported
-/// unconditionally (a --loss 0 run simply reports zero drops): the
-/// "counters" block is part of every report's layout, so downstream
-/// merge logic — the sweep-service coordinator in particular — never
-/// special-cases its absence.
+/// unconditionally (a --loss 0 run simply reports zero drops), so the
+/// "counters" block is part of every report's layout.
 inline void export_fault_counters(
-    runtime::SweepReport& report, const BenchConfig& config,
+    runtime::SweepReport& report,
     const std::vector<exp::ComparisonPoint>& points) {
-  (void)config;
   FaultCounters totals;
   totals.add(points);
   totals.export_to(report);
@@ -199,23 +204,9 @@ inline void export_fault_counters(
 /// from a per-process counter: bench binaries run panels/variants in a
 /// fixed order, so the Nth sweep maps to the same files in the original
 /// and the resuming process, while two sweeps never collide.
-///
-/// With --remote the sweep runs on an imobif_sweepd farm instead; the
-/// instance-indexed RNG derivation makes the returned points — and thus
-/// every artifact built from them — bit-identical to the in-process path.
 inline std::vector<exp::ComparisonPoint> run_comparison(
     const exp::ScenarioParams& params, const BenchConfig& config,
     const exp::RunOptions& options = {}) {
-  if (!config.remote.empty()) {
-    const svc::Endpoint endpoint = svc::parse_endpoint(config.remote);
-    svc::SubmitOptions submit;
-    submit.host = endpoint.host;
-    submit.port = endpoint.port;
-    submit.params = params;
-    submit.instances = config.instances;
-    submit.run_options = options;
-    return svc::submit_sweep(submit).points;
-  }
   static int sweep_counter = 0;
   runtime::CheckpointOptions checkpoint = config.checkpoint;
   checkpoint.scope = "s" + std::to_string(sweep_counter++) + "-";

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   runtime::SweepReport report("fig7_notifications");
   report.add_series("notifications", series.ys);
-  bench::export_fault_counters(report, config, points);
+  bench::export_fault_counters(report, points);
   bench::export_report(report, config, stopwatch);
   return 0;
 }

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   runtime::SweepReport report("fig8_lifetime");
   report.add_series("lifetime_ratio_cost_unaware", cu_s.ys);
   report.add_series("lifetime_ratio_informed", in_s.ys);
-  bench::export_fault_counters(report, config, points);
+  bench::export_fault_counters(report, points);
   bench::export_report(report, config, stopwatch);
   return 0;
 }

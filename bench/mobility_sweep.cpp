@@ -14,7 +14,7 @@
 //
 // The trace cell reads --trace PATH when given; otherwise it writes the
 // built-in demo schedule (a copy of bench/traces/demo.trace) to a fixed
-// path so local and --remote farm runs resolve the same file.
+// scratch path.
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   std::string trace_path = args.get_string("trace", "");
   if (trace_path.empty()) {
-    // Fixed path (not CWD-relative): a --remote farm worker on this host
-    // resolves the scenario's embedded trace_file to the same bytes.
+    // Fixed path (not CWD-relative): the run neither depends on nor
+    // writes into the working directory.
     trace_path = "/tmp/imobif_mobility_demo.trace";
     std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
     out << kDemoTrace;

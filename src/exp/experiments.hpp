@@ -12,6 +12,7 @@
 namespace imobif::exp {
 
 /// One flow instance's outcome under all three approaches.
+// snap:transient(sweep output, rebuilt from .result files on resume)
 struct ComparisonPoint {
   util::Bits flow_bits{0.0};
   std::size_t hops = 0;

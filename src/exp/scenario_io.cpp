@@ -281,9 +281,9 @@ std::string to_config_string(const ScenarioParams& p) {
      << "notify_retry_timeout_s = " << num(p.notify_retry_timeout_s.value())
      << "\n";
   // Model-zoo keys are emitted only when a model is enabled: disabled
-  // scenarios keep the pre-zoo config text byte-for-byte, which also keeps
-  // svc checkpoint-scope digests (content-derived from this string) stable
-  // for every legacy sweep.
+  // scenarios keep the pre-zoo config text byte-for-byte. Snapshots embed
+  // this string in their "meta" section, so snapshot bytes, the committed
+  // fig goldens and checkpoints a resumed sweep reloads all stay stable.
   if (p.mob.enabled()) {
     os << "mobility.model = " << mob::to_string(p.mob.model) << "\n"
        << "mobility.update_s = " << num(p.mob.update_s.value()) << "\n"

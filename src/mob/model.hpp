@@ -6,7 +6,7 @@
 // (params, seed, initial positions). The seed rides in the FlowInstance —
 // drawn exactly once per instance from the sampler's fork chain — so the
 // three comparison modes replay identical ambient motion and results stay
-// bit-identical across worker counts and farm shards.
+// bit-identical across worker counts.
 //
 // Checkpointing mirrors traffic::Generator: a model is (rng state, scalar
 // state vector) with a model-private layout; src/snap encodes both and

@@ -64,9 +64,10 @@ void ModelParams::validate() const {
     if (trace_file.empty()) {
       throw std::invalid_argument("mob: trace model needs a trace_file");
     }
-    // The path round-trips through the config grammar (snapshot meta, svc
-    // submit messages), where '#' and ';' start comments and surrounding
-    // whitespace is trimmed — reject paths the grammar cannot carry.
+    // The path round-trips through the config grammar (snapshot meta,
+    // scenario .conf files), where '#' and ';' start comments and
+    // surrounding whitespace is trimmed — reject paths the grammar cannot
+    // carry.
     if (trace_file.find_first_of("#;\n\r") != std::string::npos ||
         trace_file.front() == ' ' || trace_file.back() == ' ') {
       throw std::invalid_argument(

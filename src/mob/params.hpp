@@ -48,7 +48,7 @@ struct ModelParams {
   std::size_t group_count = 4;
   util::Meters group_radius_m{50.0};
   /// Trace file path (kTrace); format in DESIGN.md §14. The path is
-  /// embedded in scenario text, so farm workers must see the same file.
+  /// embedded in scenario text, so a replay must see the same file.
   std::string trace_file;
   /// Charge background motion at k J/m against the battery. Off by
   /// default: ambient motion models the environment, not actuation the

@@ -31,9 +31,8 @@ util::Json SweepReport::to_json() const {
   root.set("bench", bench_name_);
   if (wall_ms_ >= 0.0) root.set("wall_ms", wall_ms_);
   if (!meta_.empty()) root.set("meta", meta_);
-  // "counters" is always present (possibly empty): merge/diff tooling —
-  // the sweep-service coordinator in particular — must never special-case
-  // its absence.
+  // "counters" is always present (possibly empty): diff tooling must
+  // never special-case its absence.
   root.set("counters", counters_);
 
   util::Json series = util::Json::object();

@@ -119,55 +119,6 @@ std::vector<SweepOutcome> SweepEngine::run(
   return outcomes;
 }
 
-std::vector<exp::ComparisonPoint> run_comparison_shard(
-    const exp::ScenarioParams& params, std::size_t begin, std::size_t end,
-    const exp::RunOptions& options, std::size_t workers,
-    const CheckpointOptions& checkpoint,
-    const std::function<void(std::size_t)>& on_instance_done) {
-  IMOBIF_ASSERT(begin <= end, "shard range is inverted");
-  params.validate();
-  prepare_checkpoint_dir(checkpoint);
-
-  // Replay the full-sweep fork chain up to `end`: instance i's generator
-  // is the i-th fork of Rng(params.seed) regardless of which shard runs
-  // it, which is the whole determinism argument for sharding.
-  util::Rng root(params.seed);
-  std::vector<util::Rng> instance_rngs;
-  instance_rngs.reserve(end - begin);
-  for (std::size_t i = 0; i < end; ++i) {
-    util::Rng forked = root.fork();
-    if (i >= begin) instance_rngs.push_back(forked);
-  }
-
-  const std::size_t count = end - begin;
-  std::vector<exp::ComparisonPoint> points(count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      points[i] =
-          run_comparison_point(params, options, instance_rngs[i], checkpoint,
-                               "cmp-" + std::to_string(begin + i));
-      if (on_instance_done) on_instance_done(begin + i);
-    }
-    return points;
-  }
-
-  ThreadPool pool(workers);
-  std::vector<std::future<exp::ComparisonPoint>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(pool.submit(
-        [&params, &options, rng = instance_rngs[i], &checkpoint, begin, i] {
-          return run_comparison_point(params, options, rng, checkpoint,
-                                      "cmp-" + std::to_string(begin + i));
-        }));
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    points[i] = futures[i].get();  // ordered collection
-    if (on_instance_done) on_instance_done(begin + i);
-  }
-  return points;
-}
-
 std::vector<exp::ComparisonPoint> run_comparison_parallel(
     const exp::ScenarioParams& params, std::size_t flow_count,
     const exp::RunOptions& options, std::size_t workers,

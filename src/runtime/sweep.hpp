@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "exp/experiments.hpp"
@@ -71,20 +70,5 @@ std::vector<exp::ComparisonPoint> run_comparison_parallel(
     const exp::ScenarioParams& params, std::size_t flow_count,
     const exp::RunOptions& options = {}, std::size_t workers = 1,
     const CheckpointOptions& checkpoint = {});
-
-/// Shard-level entry point for distributed sweeps: runs instances
-/// [begin, end) of the same sweep run_comparison_parallel(params, N, ...)
-/// would run, reproducing the fork chain so point i is bit-identical no
-/// matter how the instance range is sharded across processes or machines.
-/// Checkpoint unit names keep their absolute instance index ("cmp-<i>"),
-/// so any worker sharing the checkpoint directory (and scope) resumes
-/// exactly the files a dead worker left behind. `on_instance_done(i)` (may
-/// be empty) fires after each instance completes, in order — the hook the
-/// service worker uses to stream progress.
-std::vector<exp::ComparisonPoint> run_comparison_shard(
-    const exp::ScenarioParams& params, std::size_t begin, std::size_t end,
-    const exp::RunOptions& options = {}, std::size_t workers = 1,
-    const CheckpointOptions& checkpoint = {},
-    const std::function<void(std::size_t)>& on_instance_done = {});
 
 }  // namespace imobif::runtime

@@ -132,8 +132,8 @@ exp::RunResult decode_run_result(StateReader& r) {
   result.medium.dropped_faulted = r.u64();
   result.lifetime_s = util::Seconds{r.f64()};
   result.any_death = r.boolean();
-  // These counts can arrive over the network (comparison-point streams);
-  // cap speculative reservations so hostile values fail on the truncated
+  // These counts come from a .result file that may be corrupt; cap
+  // speculative reservations so a bad value fails on the truncated
   // stream instead of forcing a huge allocation.
   constexpr std::uint64_t kReserveCap = 1u << 20;
   const std::uint64_t path_count = r.u64();
@@ -156,58 +156,6 @@ exp::RunResult decode_run_result(StateReader& r) {
   }
   r.end_section();
   return result;
-}
-
-void encode_comparison_points(StateWriter& w,
-                              const std::vector<exp::ComparisonPoint>& points) {
-  w.begin_section("points");
-  w.u64(points.size());
-  for (const exp::ComparisonPoint& point : points) {
-    w.f64(point.flow_bits.value());
-    w.u64(point.hops);
-    encode_run_result(w, point.baseline);
-    encode_run_result(w, point.cost_unaware);
-    encode_run_result(w, point.informed);
-  }
-  w.end_section();
-}
-
-std::vector<exp::ComparisonPoint> decode_comparison_points(StateReader& r) {
-  r.begin_section("points");
-  const std::uint64_t count = r.u64();
-  std::vector<exp::ComparisonPoint> points;
-  // The count arrives over the network; cap the speculative reservation so
-  // a hostile value cannot force a huge allocation before decoding fails
-  // on the (necessarily truncated) stream.
-  points.reserve(std::min<std::uint64_t>(count, 4096));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    exp::ComparisonPoint point;
-    point.flow_bits = util::Bits{r.f64()};
-    point.hops = r.u64();
-    point.baseline = decode_run_result(r);
-    point.cost_unaware = decode_run_result(r);
-    point.informed = decode_run_result(r);
-    points.push_back(std::move(point));
-  }
-  r.end_section();
-  return points;
-}
-
-std::string comparison_points_to_bytes(
-    const std::vector<exp::ComparisonPoint>& points) {
-  StateWriter writer;
-  encode_comparison_points(writer, points);
-  return writer.data();
-}
-
-std::vector<exp::ComparisonPoint> comparison_points_from_bytes(
-    const std::string& bytes) {
-  StateReader reader(bytes);
-  std::vector<exp::ComparisonPoint> points = decode_comparison_points(reader);
-  if (!reader.at_end()) {
-    throw std::runtime_error("comparison points: trailing bytes after list");
-  }
-  return points;
 }
 
 void save_result(const std::string& path, const exp::RunResult& result) {

@@ -11,9 +11,7 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "exp/experiments.hpp"
 #include "exp/runner.hpp"
 #include "snap/codec.hpp"
 #include "util/json.hpp"
@@ -31,21 +29,5 @@ exp::RunResult decode_run_result(StateReader& r);
 /// Whole-file helpers: a codec stream holding exactly one RunResult.
 void save_result(const std::string& path, const exp::RunResult& result);
 exp::RunResult load_result(const std::string& path);
-
-/// Binary encoding of an ordered ComparisonPoint list (one "points"
-/// section: count, then per point flow_bits/hops and the three mode
-/// results). Lossless, used by the sweep service to ship a work unit's
-/// results over the wire bit-exactly.
-void encode_comparison_points(StateWriter& w,
-                              const std::vector<exp::ComparisonPoint>& points);
-std::vector<exp::ComparisonPoint> decode_comparison_points(StateReader& r);
-
-/// Whole-stream helpers: a codec byte string holding exactly one point
-/// list. comparison_points_from_bytes throws std::runtime_error on any
-/// mismatch, including trailing bytes after the list.
-std::string comparison_points_to_bytes(
-    const std::vector<exp::ComparisonPoint>& points);
-std::vector<exp::ComparisonPoint> comparison_points_from_bytes(
-    const std::string& bytes);
 
 }  // namespace imobif::snap

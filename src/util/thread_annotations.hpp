@@ -20,7 +20,6 @@
 // clang documentation; only the subset this codebase uses is defined.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -105,9 +104,9 @@ class IMOBIF_SCOPED_CAPABILITY MutexLock {
 
 /// Condition variable bound to the annotated Mutex. Built on
 /// std::condition_variable_any (Mutex is a BasicLockable), which costs an
-/// extra internal mutex per CV — irrelevant on the wait paths this repo
-/// has (pool idle wait, heartbeat cadence), and in exchange every wait
-/// site states its lock requirement in the signature.
+/// extra internal mutex per CV — irrelevant on the one wait path this
+/// repo has (the pool's idle wait), and in exchange every wait site
+/// states its lock requirement in the signature.
 ///
 /// There are deliberately no predicate overloads: a predicate lambda
 /// reading guarded state is analyzed as its own function, where the
@@ -124,17 +123,6 @@ class CondVar {
 
   /// Atomically releases `mu`, waits, and reacquires before returning.
   void wait(Mutex& mu) IMOBIF_REQUIRES(mu) { cv_.wait(mu); }
-
-  /// wait() with a timeout; kTimeout after ~`ms` without a notification.
-  /// Spurious wakeups surface as kNotified — re-check the condition and
-  /// the caller's own deadline logic, exactly as with std::cv_status.
-  enum class WaitStatus { kNotified, kTimeout };
-  WaitStatus wait_for_ms(Mutex& mu, int ms) IMOBIF_REQUIRES(mu) {
-    return cv_.wait_for(mu, std::chrono::milliseconds(ms)) ==
-                   std::cv_status::timeout
-               ? WaitStatus::kTimeout
-               : WaitStatus::kNotified;
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -1,8 +1,8 @@
 // Scenario-config binding for the mobility & traffic model zoo
 // (DESIGN.md §14): every new key round trips, and — the byte-identity
 // contract — a default scenario emits no mobility/traffic keys at all, so
-// legacy configs, svc checkpoint scopes, and committed figures keep their
-// exact bytes.
+// legacy configs, snapshot meta (and so resumable checkpoints) and
+// committed figures keep their exact bytes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>

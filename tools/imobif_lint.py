@@ -27,12 +27,6 @@ hatches outright in library code (``src/``):
                    src/net): these must take util::Quantity types
                    (util::Joules, util::Meters, ...) so the dimension is
                    checked at compile time (see src/util/units.hpp).
-  socket-timeout   a raw socket syscall (recv/read/accept/connect/select
-                   family) in the sweep-service layer (src/svc/): every
-                   descriptor there must be non-blocking with readiness
-                   from poll_wait()'s bounded timeout, so a hung peer can
-                   never wedge a daemon. The blessed call sites live in
-                   src/svc/socket.cpp behind explicit waivers.
 
 A finding can be waived by putting ``// lint:allow(<rule>)`` on the same
 line or the line directly above it; use sparingly and leave a comment
@@ -70,8 +64,6 @@ RULES = {
     "include-hygiene": "include style violation",
     "raw-unit-double": "raw double parameter with unit-suffixed name in a "
                        "typed-layer public header; use util::Quantity",
-    "socket-timeout": "raw socket syscall in src/svc/; sockets must be "
-                      "non-blocking with poll_wait() timeouts",
     "stale-waiver": "lint:allow() that suppresses no finding (refactored "
                     "code or misspelled rule); remove it",
 }
@@ -110,14 +102,6 @@ RAW_UNIT_DOUBLE_RE = re.compile(
 )
 # Directories whose public headers form the typed (units-bearing) layers.
 TYPED_LAYER_DIRS = ("energy", "core", "net", "mob", "traffic", "loc")
-# A raw socket syscall that can block forever on a peer: banned in the
-# sweep-service layer, where every read must sit behind a poll_wait()
-# deadline. `_`-suffixed names (read_available, accept_conn, connect_to —
-# the wrapper layer itself) do not match.
-SOCKET_CALL_RE = re.compile(
-    r"(?<![\w.])(?:::\s*)?"
-    r"(?:recv|recvfrom|recvmsg|read|accept|accept4|connect|select)\s*\("
-)
 
 
 def lint_file(path):
@@ -144,7 +128,6 @@ def lint_file(path):
     in_typed_layer_header = is_header and any(
         f"src/{d}/" in norm for d in TYPED_LAYER_DIRS
     )
-    in_svc_layer = "src/svc/" in norm
 
     in_block = False
     first_project_include = None
@@ -162,8 +145,6 @@ def lint_file(path):
             report(no, "float-equality", RULES["float-equality"])
         if in_typed_layer_header and RAW_UNIT_DOUBLE_RE.search(line):
             report(no, "raw-unit-double", RULES["raw-unit-double"])
-        if in_svc_layer and SOCKET_CALL_RE.search(line):
-            report(no, "socket-timeout", RULES["socket-timeout"])
         # Include directives carry their payload inside string quotes, so
         # match them against the raw line, not the literal-stripped one.
         if PARENT_INCLUDE_RE.search(raw):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """imobif checkpoint-exhaustiveness + architecture-layering linter.
 
-The repo's bit-identical checkpoint/resume guarantee (snap codec v2, the
-sweep farm's crash retry, replay/bisect) rests on one invariant: every
+The repo's bit-identical checkpoint/resume guarantee (snap codec v2,
+crash-resumable sweeps, replay/bisect) rests on one invariant: every
 mutable field of every checkpointed class is either persisted by the
 snapshot codec or provably rebuilt after restore. Until now that was
 enforced by hand audit; a missed field silently corrupts resumed sweeps

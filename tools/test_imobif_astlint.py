@@ -106,15 +106,15 @@ def main():
                 "stale-waiver", expected_count=2)
     check_fires(fixture("src", "sim", "bad_global.cpp"),
                 "mutable-global", expected_count=4)
-    check_fires(fixture("src", "svc", "bad_mutex.cpp"),
+    check_fires(fixture("src", "runtime", "bad_mutex.cpp"),
                 "raw-mutex", expected_count=2)
-    check_fires(fixture("src", "svc", "bad_capability.cpp"),
+    check_fires(fixture("src", "runtime", "bad_capability.cpp"),
                 "unguarded-capability", expected_count=1)
 
     check_clean(fixture("src", "net", "good_iter.cpp"))
     check_clean(fixture("src", "net", "good_ptr_key.cpp"))
     check_clean(fixture("src", "sim", "good_global.cpp"))
-    check_clean(fixture("src", "svc", "good_mutex.cpp"))
+    check_clean(fixture("src", "runtime", "good_mutex.cpp"))
     # Path scoping: identical constructs outside src/ are not findings.
     check_clean(fixture("outside", "free_iter.cpp"))
 

@@ -90,8 +90,6 @@ def main():
     # The localization layer joined TYPED_LAYER_DIRS in PR 10.
     check_fires(os.path.join("src", "loc", "bad_raw_unit_double.hpp"),
                 "raw-unit-double", expected_count=2)
-    check_fires(os.path.join("src", "svc", "bad_socket.cpp"),
-                "socket-timeout", expected_count=2)
     check_fires("stale_waiver.cpp", "stale-waiver", expected_count=2)
     # waived_ok.cpp doubles as the stale-waiver negative: every waiver in
     # it suppresses a live finding, so none may be reported stale.
@@ -99,7 +97,6 @@ def main():
     check_clean("clean_ok.cpp")
     check_clean(os.path.join("src", "energy", "waived_raw_unit_double.hpp"))
     check_clean(os.path.join("src", "util", "clean_raw_double.hpp"))
-    check_clean(os.path.join("src", "svc", "waived_socket.cpp"))
     check_compile_db()
 
     # --rules lists every rule the fixtures exercise.
@@ -107,7 +104,7 @@ def main():
     expect("--rules exits zero", code == 0, out)
     for rule in ("banned-random", "wall-clock", "iostream", "pragma-once",
                  "float-equality", "include-hygiene", "raw-unit-double",
-                 "socket-timeout", "stale-waiver"):
+                 "stale-waiver"):
         expect(f"--rules lists {rule}", rule in out, out)
 
     # The production gate: the real library tree is lint-clean.
