@@ -20,7 +20,7 @@
 
 namespace imobif::bench {
 
-/// Flags shared by every figure/ablation binary:
+/// Flags shared by every bench binary:
 ///   --instances N   flow instances per series (positional N still works)
 ///   --seed S        override the scenario base seed
 ///   --jobs N        worker threads for the sweep (default 1)
@@ -56,8 +56,10 @@ inline std::size_t parse_instances(const std::string& text) {
   return value;
 }
 
+/// `extra_usage` is appended to --help for binaries with their own flags.
 inline BenchConfig parse_bench_args(int argc, char** argv,
-                                    std::size_t default_instances) {
+                                    std::size_t default_instances,
+                                    const char* extra_usage = "") {
   const util::Args args(argc, argv);
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
@@ -80,7 +82,8 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
                  "                   checkpoints so a killed sweep can resume\n"
                  "  --resume         reuse files found in --checkpoint-dir\n"
                  "  --checkpoint-every-s  checkpoint cadence in simulated\n"
-                 "                   seconds (default 30)\n";
+                 "                   seconds (default 30)\n"
+              << extra_usage;
     std::exit(0);
   }
   BenchConfig config;
@@ -267,12 +270,6 @@ inline constexpr double kMB = 1024.0 * kKB;
 /// Amplifier coefficient for alpha = 3 runs (unit differs from alpha = 2;
 /// calibrated per DESIGN.md).
 inline constexpr double kAmplifierAlpha3 = 3e-12;
-
-struct SeriesStats {
-  util::Summary cost_unaware;
-  util::Summary informed;
-  std::size_t informed_enabled = 0;
-};
 
 inline void print_header(const std::string& title) {
   std::cout << "\n" << std::string(74, '=') << "\n"

@@ -48,7 +48,8 @@ const char* to_string(MobilityMode mode);
 /// remaining movement energy) rides in the data header, exactly the
 /// paper's information-dissemination mechanism. This removes the myopia
 /// and reproduces the paper's reported enable/disable behaviour; it is the
-/// default. bench/ablation_estimator quantifies the difference.
+/// default. examples/scenarios/ablation_estimator.conf quantifies the
+/// difference.
 enum class BenefitEstimator : std::uint8_t {
   kPaperLocal,
   kHopReceiver,
@@ -105,7 +106,8 @@ class ImobifPolicy : public net::MobilityPolicy {
   /// change, suppress further requests until at least `packets` more data
   /// packets have arrived. 0 (default) reproduces the paper's immediate
   /// per-packet re-evaluation; small values kill the rare end-of-flow
-  /// oscillation tail visible in Figure 7 (bench: ablation_damping).
+  /// oscillation tail visible in Figure 7
+  /// (examples/scenarios/ablation_damping.conf).
   void set_notification_min_gap(std::uint32_t packets) {
     notification_min_gap_ = packets;
   }

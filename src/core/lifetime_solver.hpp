@@ -6,9 +6,9 @@
 // for alpha > 2" and falls back to the power-law approximation
 // (d_prev/d_self)^alpha' = e_prev/e_self. Numerically, however, the exact
 // condition is a strictly monotone one-dimensional root-finding problem,
-// solved here by bisection to machine-level tolerance. The ablation bench
-// `ablation_exact_split` uses this to quantify how much the paper's
-// approximation gives up (their claim: it is "effective").
+// solved here by bisection to machine-level tolerance. The ablation
+// examples/scenarios/ablation_exact_split.conf uses this to quantify how
+// much the paper's approximation gives up (their claim: it is "effective").
 #pragma once
 
 #include "energy/radio_model.hpp"

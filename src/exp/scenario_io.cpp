@@ -1,8 +1,11 @@
 #include "exp/scenario_io.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -13,6 +16,27 @@ namespace {
 // round trip (to_config_string -> apply_config) must be lossless because
 // snapshots embed the scenario through it (src/snap).
 std::string num(double v) { return util::Json::number_to_string(v); }
+
+// Every key apply_config reads. Anything else in a config is a typo or an
+// option meant for someone else, and apply_config rejects it rather than
+// silently running the scenario without it.
+constexpr std::string_view kScenarioKeys[] = {
+    "area_m", "node_count", "comm_range_m", "min_hops", "radio_a", "radio_b",
+    "radio_alpha", "radio_rx_per_bit", "k", "max_step_m", "initial_energy_j",
+    "random_energy", "energy_lo_j", "energy_hi_j", "mean_flow_kb",
+    "packet_bits", "rate_bps", "length_estimate_factor", "hello_interval_s",
+    "warmup_s", "charge_hello_energy", "position_error_m", "strategy",
+    "alpha_prime", "line_bias_weight", "cap_bits", "paper_local_estimator",
+    "exact_lifetime_split", "notification_min_gap", "recruit_margin",
+    "multi_flow_blending", "loss_rate", "gilbert_elliott", "p_good_to_bad",
+    "p_bad_to_good", "loss_good", "loss_bad", "fault_seed", "crashes",
+    "notify_retry_cap", "notify_retry_timeout_s", "mobility.model",
+    "mobility.update_s", "mobility.speed_min_mps", "mobility.speed_max_mps",
+    "mobility.pause_s", "mobility.gm_alpha", "mobility.gm_speed_sigma_mps",
+    "mobility.gm_dir_sigma_rad", "mobility.group_count",
+    "mobility.group_radius_m", "mobility.trace_file", "mobility.charge_energy",
+    "traffic.model", "traffic.on_mean_s", "traffic.off_mean_s",
+    "traffic.pareto_shape", "seed"};
 }  // namespace
 
 std::string format_crashes(
@@ -75,6 +99,13 @@ std::vector<net::FaultPlan::CrashEvent> parse_crashes(
 }
 
 void apply_config(const util::Config& config, ScenarioParams& params) {
+  for (const std::string& key : config.keys()) {
+    if (std::find(std::begin(kScenarioKeys), std::end(kScenarioKeys), key) ==
+        std::end(kScenarioKeys)) {
+      throw std::invalid_argument("apply_config: unknown scenario key '" +
+                                  key + "'");
+    }
+  }
   // This parser is the raw-double I/O boundary: every typed quantity is
   // unwrapped with .value() for defaulting and re-wrapped on assignment.
   using util::Bits;

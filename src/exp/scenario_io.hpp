@@ -1,5 +1,6 @@
 // Config-file / command-line binding for ScenarioParams, used by the
-// imobif_sim CLI. Key names mirror the field names in scenario.hpp.
+// imobif_sim experiment CLI and snapshot meta. Key names mirror the field
+// names in scenario.hpp.
 #pragma once
 
 #include <string>
@@ -10,18 +11,10 @@
 
 namespace imobif::exp {
 
-/// Overrides fields of `params` from config keys (unknown keys are left to
-/// the caller to validate; absent keys keep their current value).
-/// Recognized keys: area_m, node_count, comm_range_m, min_hops, radio_a,
-/// radio_b, radio_alpha, k, max_step_m, initial_energy_j, random_energy,
-/// energy_lo_j, energy_hi_j, mean_flow_kb, packet_bits, rate_bps,
-/// length_estimate_factor, hello_interval_s, warmup_s,
-/// charge_hello_energy, strategy (min-energy|max-lifetime), alpha_prime,
-/// line_bias_weight, cap_bits, paper_local_estimator,
-/// exact_lifetime_split, notification_min_gap, recruit_margin,
-/// multi_flow_blending, position_error_m, loss_rate, gilbert_elliott,
-/// p_good_to_bad, p_bad_to_good, loss_good, loss_bad, fault_seed, crashes,
-/// notify_retry_cap, notify_retry_timeout_s, seed.
+/// Overrides fields of `params` from config keys (absent keys keep their
+/// current value). Throws std::invalid_argument naming the first key that
+/// is not a scenario key; the recognized keys are listed once, in
+/// kScenarioKeys in scenario_io.cpp.
 void apply_config(const util::Config& config, ScenarioParams& params);
 
 /// Human-readable dump of every scenario field (one `key = value` line

@@ -61,6 +61,14 @@ Config Config::from_file(const std::string& path) {
   return from_string(buffer.str());
 }
 
+std::vector<std::string> Config::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
   const auto it = values_.find(key);

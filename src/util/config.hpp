@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace imobif::util {
 
@@ -24,6 +25,8 @@ class Config {
 
   bool has(const std::string& key) const { return values_.count(key) != 0; }
   std::size_t size() const { return values_.size(); }
+  /// Keys present, sorted, for unknown-key validation.
+  std::vector<std::string> keys() const;
 
   /// Typed getters return the default when the key is absent and throw
   /// std::invalid_argument when present but unparsable.

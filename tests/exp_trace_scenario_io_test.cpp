@@ -170,6 +170,22 @@ TEST(ScenarioIo, UnknownStrategyThrows) {
       std::invalid_argument);
 }
 
+TEST(ScenarioIo, UnknownKeyThrowsNamingIt) {
+  // A typo must not silently run the default scenario.
+  ScenarioParams p;
+  try {
+    apply_config(util::Config::from_string("k = 0.1\nkk = 0.1\n"), p);
+    FAIL() << "unknown key accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("'kk'"), std::string::npos)
+        << err.what();
+  }
+  // imobif_sim's own options are not scenario keys either.
+  EXPECT_THROW(
+      apply_config(util::Config::from_string("sweep = k=0.1,0.5\n"), p),
+      std::invalid_argument);
+}
+
 TEST(ScenarioIo, ConfigStringRoundTrips) {
   ScenarioParams p;
   p.mobility.k = 0.1;
