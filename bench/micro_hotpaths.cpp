@@ -21,6 +21,7 @@
 #include "net/neighbor_table.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
+#include "snap/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -206,6 +207,55 @@ void BM_FullFlowReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFlowReplay);
+
+/// A fig6(c) run (paper defaults, 1 MB flow, iMobif) stepped one chunk at a
+/// time to 100 chunks in, where the checkpoint_roundtrip workload snapshots
+/// it: between chunks, packets in flight.
+std::unique_ptr<exp::InstanceRun> midflight_fig6c_run() {
+  exp::ScenarioParams p = bench::paper_defaults();
+  p.mean_flow_bits = util::Bits{bench::kMB};
+  util::Rng rng(p.seed);
+  exp::FlowInstance instance = exp::sample_instance(p, rng);
+  instance.flow_bits = util::Bits{bench::kMB};
+  auto run =
+      exp::InstanceRun::create(instance, p, core::MobilityMode::kInformed);
+  for (int chunk = 0; chunk < 100; ++chunk) {
+    bool done = run->advance(1);
+    while (!done && run->in_chunk()) done = run->advance(1);
+    if (done) break;
+  }
+  return run;
+}
+
+/// snap::encode of the mid-flight run. Bytes are snapshot bytes.
+void BM_SnapEncode(benchmark::State& state) {
+  const std::unique_ptr<exp::InstanceRun> run = midflight_fig6c_run();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string encoded = snap::encode(*run);
+    bytes = encoded.size();
+    benchmark::DoNotOptimize(encoded.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SnapEncode);
+
+/// snap::state_hash of the mid-flight run: the digest replay bisection
+/// takes twice per event.
+void BM_SnapStateHash(benchmark::State& state) {
+  const std::unique_ptr<exp::InstanceRun> run = midflight_fig6c_run();
+  for (auto _ : state) benchmark::DoNotOptimize(snap::state_hash(*run));
+}
+BENCHMARK(BM_SnapStateHash);
+
+/// snap::restore of the mid-flight run's snapshot, including tearing the
+/// restored run down again.
+void BM_SnapRestore(benchmark::State& state) {
+  const std::string encoded = snap::encode(*midflight_fig6c_run());
+  for (auto _ : state) benchmark::DoNotOptimize(snap::restore(encoded));
+}
+BENCHMARK(BM_SnapRestore);
 
 /// ConsoleReporter that also keeps every iteration run's adjusted timings
 /// (nanoseconds, the suite's default unit) for the JSON artifact.

@@ -1,6 +1,8 @@
 #include "exp/instance_run.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/imobif.hpp"
@@ -84,6 +86,14 @@ void InstanceRun::compute_horizon() {
   const util::Seconds ideal_duration = instance_.flow_bits / params_.rate_bps;
   const util::Seconds horizon_s =
       ideal_duration * options_.horizon_factor + options_.horizon_slack_s;
+  // Flow lengths and options can come from files (a scenario, a snapshot):
+  // keep the horizon representable in ticks. Written so that NaN fails.
+  constexpr double kMaxHorizonS = 1e12;  // ~31,700 years
+  if (!(horizon_s.value() >= 0.0 && horizon_s.value() <= kMaxHorizonS)) {
+    throw std::invalid_argument("InstanceRun: flow horizon of " +
+                                std::to_string(horizon_s.value()) +
+                                " s is out of range");
+  }
   horizon_ = flow_start_ + sim::Time::from_seconds(horizon_s.value());
 }
 

@@ -13,8 +13,16 @@ GridIndex::GridIndex(double cell_size) : cell_size_(cell_size) {
 }
 
 GridIndex::Cell GridIndex::cell_of(geom::Vec2 p) const {
-  return Cell{static_cast<std::int64_t>(std::floor(p.x / cell_size_)),
-              static_cast<std::int64_t>(std::floor(p.y / cell_size_))};
+  // key() keeps 32 bits of each cell coordinate, so cells past that range
+  // alias anyway. Clamping to it keeps the conversion defined for any
+  // coordinate, NaN included (it fails the first comparison).
+  constexpr double kLimit = 2147483647.0;
+  const auto axis = [&](double v) {
+    const double c = std::floor(v / cell_size_);
+    return static_cast<std::int64_t>(c >= -kLimit ? (c <= kLimit ? c : kLimit)
+                                                  : -kLimit);
+  };
+  return Cell{axis(p.x), axis(p.y)};
 }
 
 std::uint64_t GridIndex::key(Cell c) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -50,6 +51,12 @@ class NeighborTable {
   /// comparison against the original).
   const std::vector<NeighborInfo>& all_entries() const { return entries_; }
 
+  /// Restore-only: replaces every entry with `entries`, which must be
+  /// ascending by unique id (the snapshot decoder verifies that).
+  void restore_entries(std::vector<NeighborInfo> entries) {
+    entries_ = std::move(entries);
+  }
+
   std::size_t size() const { return entries_.size(); }
   sim::Time timeout() const { return timeout_; }
   void set_timeout(sim::Time timeout) { timeout_ = timeout; }
@@ -64,7 +71,7 @@ class NeighborTable {
   // snap:transient(config from NodeConfig, re-applied at construction)
   sim::Time timeout_;
   /// Ascending by id, ids unique.
-  // snap:derived(upsert)
+  // snap:derived(restore_entries)
   std::vector<NeighborInfo> entries_;
 };
 

@@ -1,6 +1,7 @@
 #include "snap/codec.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -43,84 +44,38 @@ const char* to_string(Tag tag) {
 
 // --- StateWriter ---
 
-StateWriter::StateWriter() {
-  out_.append(kMagic, sizeof(kMagic));
-  raw_u32(kCodecVersion);
+StateWriter::StateWriter(std::size_t reserve) {
+  buf_.resize(std::max(reserve, kHeaderBytes));
+  std::memcpy(claim(sizeof(kMagic)), kMagic, sizeof(kMagic));
+  detail::store_le(claim(sizeof(kCodecVersion)), kCodecVersion);
 }
 
-void StateWriter::tag(Tag t) { out_.push_back(static_cast<char>(t)); }
-
-void StateWriter::raw_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void StateWriter::raw_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void StateWriter::u8(std::uint8_t v) {
-  tag(Tag::kU8);
-  out_.push_back(static_cast<char>(v));
-}
-
-void StateWriter::u32(std::uint32_t v) {
-  tag(Tag::kU32);
-  raw_u32(v);
-}
-
-void StateWriter::u64(std::uint64_t v) {
-  tag(Tag::kU64);
-  raw_u64(v);
-}
-
-void StateWriter::i64(std::int64_t v) {
-  tag(Tag::kI64);
-  raw_u64(static_cast<std::uint64_t>(v));
-}
-
-void StateWriter::f64(double v) {
-  tag(Tag::kF64);
-  raw_u64(std::bit_cast<std::uint64_t>(v));
-}
-
-void StateWriter::boolean(bool v) {
-  tag(Tag::kBool);
-  out_.push_back(v ? '\x01' : '\x00');
-}
-
-void StateWriter::str(std::string_view v) {
-  tag(Tag::kString);
-  raw_u32(static_cast<std::uint32_t>(v.size()));
-  out_.append(v.data(), v.size());
-}
-
-void StateWriter::begin_section(std::string_view name) {
-  tag(Tag::kSectionBegin);
-  raw_u32(static_cast<std::uint32_t>(name.size()));
-  out_.append(name.data(), name.size());
-  ++open_sections_;
+void StateWriter::grow(std::size_t n) {
+  buf_.resize(std::max(2 * buf_.size(), len_ + n));
 }
 
 void StateWriter::end_section() {
   if (open_sections_ <= 0) {
     throw std::logic_error("StateWriter: end_section without a begin");
   }
-  tag(Tag::kSectionEnd);
+  *claim(1) = static_cast<char>(Tag::kSectionEnd);
   --open_sections_;
+}
+
+std::string StateWriter::take() && {
+  buf_.resize(len_);
+  len_ = 0;
+  return std::move(buf_);
 }
 
 void StateWriter::write_file(const std::string& path) const {
   if (open_sections_ != 0) {
     throw std::logic_error("StateWriter: writing with an unclosed section");
   }
-  write_file_atomic(path, out_);
+  write_file_atomic(path, data());
 }
 
-void write_file_atomic(const std::string& path, const std::string& data) {
+void write_file_atomic(const std::string& path, std::string_view data) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -144,14 +99,15 @@ void write_file_atomic(const std::string& path, const std::string& data) {
 
 // --- StateReader ---
 
-StateReader::StateReader(std::string data) : data_(std::move(data)) {
+StateReader::StateReader(std::string_view data) : data_(data) {
   if (data_.size() < kHeaderBytes ||
-      data_.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
+      data_.substr(0, sizeof(kMagic)) !=
+          std::string_view(kMagic, sizeof(kMagic))) {
     throw std::runtime_error(
         "snapshot: bad magic — not an IMSN snapshot stream");
   }
-  pos_ = sizeof(kMagic);
-  version_ = raw_u32();
+  version_ = detail::load_le<std::uint32_t>(data_.data() + sizeof(kMagic));
+  pos_ = kHeaderBytes;
   if (version_ != kCodecVersion) {
     throw std::runtime_error(
         "snapshot: unsupported codec version " + std::to_string(version_) +
@@ -160,8 +116,14 @@ StateReader::StateReader(std::string data) : data_(std::move(data)) {
   }
 }
 
+StateReader::StateReader(std::unique_ptr<const std::string> owned)
+    : StateReader(std::string_view(*owned)) {
+  // The heap string does not move with the reader, so data_ stays valid.
+  owned_ = std::move(owned);
+}
+
 StateReader StateReader::from_file(const std::string& path) {
-  return StateReader(read_file(path));
+  return StateReader(std::make_unique<const std::string>(read_file(path)));
 }
 
 std::string read_file(const std::string& path) {
@@ -173,12 +135,16 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-void StateReader::fail(const std::string& what) const {
+namespace {
+[[noreturn]] void fail_at(std::size_t pos, const std::string& what) {
   throw std::runtime_error("snapshot: " + what + " at byte offset " +
-                           std::to_string(pos_));
+                           std::to_string(pos));
 }
+}  // namespace
 
-Tag StateReader::take_tag(Tag expected) {
+void StateReader::fail(const std::string& what) const { fail_at(pos_, what); }
+
+void StateReader::fail_take(Tag expected, const char* payload_name) const {
   if (pos_ >= data_.size()) {
     fail(std::string("truncated stream, expected ") + to_string(expected));
   }
@@ -187,119 +153,65 @@ Tag StateReader::take_tag(Tag expected) {
     fail(std::string("expected ") + to_string(expected) + ", found " +
          to_string(got));
   }
-  ++pos_;
-  return got;
+  // Right tag, short payload: the offset names the payload's first byte.
+  fail_at(pos_ + 1, std::string("truncated ") + payload_name);
 }
 
-std::uint32_t StateReader::raw_u32() {
-  if (pos_ + 4 > data_.size()) fail("truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t StateReader::raw_u64() {
-  if (pos_ + 8 > data_.size()) fail("truncated u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::uint8_t StateReader::u8() {
-  take_tag(Tag::kU8);
-  if (pos_ >= data_.size()) fail("truncated u8");
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t StateReader::u32() {
-  take_tag(Tag::kU32);
-  return raw_u32();
-}
-
-std::uint64_t StateReader::u64() {
-  take_tag(Tag::kU64);
-  return raw_u64();
-}
-
-std::int64_t StateReader::i64() {
-  take_tag(Tag::kI64);
-  return static_cast<std::int64_t>(raw_u64());
-}
-
-double StateReader::f64() {
-  take_tag(Tag::kF64);
-  return std::bit_cast<double>(raw_u64());
-}
-
-bool StateReader::boolean() {
-  take_tag(Tag::kBool);
-  if (pos_ >= data_.size()) fail("truncated bool");
-  return data_[pos_++] != '\x00';
-}
-
-std::string StateReader::str() {
-  take_tag(Tag::kString);
-  const std::uint32_t len = raw_u32();
-  if (pos_ + len > data_.size()) fail("truncated string body");
-  std::string out = data_.substr(pos_, len);
+std::string_view StateReader::text(Tag tag, const char* body_name) {
+  const std::uint32_t len = take<std::uint32_t>(tag, "u32");
+  if (data_.size() - pos_ < len) fail(std::string("truncated ") + body_name);
+  const std::string_view body = data_.substr(pos_, len);
   pos_ += len;
-  return out;
+  return body;
 }
 
 void StateReader::begin_section(std::string_view expected) {
-  take_tag(Tag::kSectionBegin);
-  const std::uint32_t len = raw_u32();
-  if (pos_ + len > data_.size()) fail("truncated section name");
-  const std::string_view name(data_.data() + pos_, len);
+  const std::string_view name = text(Tag::kSectionBegin, "section name");
   if (name != expected) {
-    fail("expected section '" + std::string(expected) + "', found '" +
-         std::string(name) + "'");
+    fail_at(pos_ - name.size(), "expected section '" + std::string(expected) +
+                                    "', found '" + std::string(name) + "'");
   }
-  pos_ += len;
 }
 
-void StateReader::end_section() { take_tag(Tag::kSectionEnd); }
+std::uint64_t StateReader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = u64();
+  const std::size_t left = data_.size() - pos_;
+  if (n > left / min_item_bytes) {
+    fail("count " + std::to_string(n) + " exceeds the " +
+         std::to_string(left) + " bytes left (" +
+         std::to_string(min_item_bytes) + " or more per item)");
+  }
+  return n;
+}
 
 // --- debug_dump ---
 
-std::string debug_dump(const std::string& data) {
+std::string debug_dump(std::string_view data) {
   StateReader probe(data);  // validates magic + version
   // Re-walk the raw stream with a private cursor: the typed StateReader
   // API intentionally has no "peek next tag", so the dump decodes by hand.
   std::size_t pos = kHeaderBytes;
   const auto need = [&](std::size_t n) {
-    if (pos + n > data.size()) {
+    if (data.size() - pos < n) {
       throw std::runtime_error("snapshot: truncated stream at byte offset " +
                                std::to_string(pos));
     }
   };
   const auto read_u32 = [&] {
     need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[pos + i]))
-           << (8 * i);
-    }
     pos += 4;
-    return v;
+    return detail::load_le<std::uint32_t>(data.data() + pos - 4);
   };
   const auto read_u64 = [&] {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data[pos + i]))
-           << (8 * i);
-    }
     pos += 8;
-    return v;
+    return detail::load_le<std::uint64_t>(data.data() + pos - 8);
+  };
+  const auto read_text = [&] {
+    const std::uint32_t len = read_u32();
+    need(len);
+    pos += len;
+    return std::string(data.substr(pos - len, len));
   };
 
   util::Json root = util::Json::object();
@@ -329,29 +241,27 @@ std::string debug_dump(const std::string& data) {
         stack.back().push_back(
             util::Json(static_cast<std::int64_t>(read_u64())));
         break;
-      case Tag::kF64:
-        stack.back().push_back(util::Json(std::bit_cast<double>(read_u64())));
+      case Tag::kF64: {
+        // JSON has no NaN or infinity; the codec carries them bit-exactly.
+        const double v = std::bit_cast<double>(read_u64());
+        stack.back().push_back(std::isfinite(v) ? util::Json(v)
+                               : std::isnan(v)  ? util::Json("nan")
+                               : v > 0          ? util::Json("inf")
+                                                : util::Json("-inf"));
         break;
+      }
       case Tag::kBool:
         need(1);
         stack.back().push_back(util::Json(data[pos] != '\x00'));
         ++pos;
         break;
-      case Tag::kString: {
-        const std::uint32_t len = read_u32();
-        need(len);
-        stack.back().push_back(util::Json(data.substr(pos, len)));
-        pos += len;
+      case Tag::kString:
+        stack.back().push_back(util::Json(read_text()));
         break;
-      }
-      case Tag::kSectionBegin: {
-        const std::uint32_t len = read_u32();
-        need(len);
-        names.push_back(data.substr(pos, len));
-        pos += len;
+      case Tag::kSectionBegin:
+        names.push_back(read_text());
         stack.push_back(util::Json::array());
         break;
-      }
       case Tag::kSectionEnd: {
         if (stack.size() < 2) {
           throw std::runtime_error(

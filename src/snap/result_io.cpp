@@ -1,6 +1,5 @@
 #include "snap/result_io.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -132,25 +131,22 @@ exp::RunResult decode_run_result(StateReader& r) {
   result.medium.dropped_faulted = r.u64();
   result.lifetime_s = util::Seconds{r.f64()};
   result.any_death = r.boolean();
-  // These counts come from a .result file that may be corrupt; cap
-  // speculative reservations so a bad value fails on the truncated
-  // stream instead of forcing a huge allocation.
-  constexpr std::uint64_t kReserveCap = 1u << 20;
-  const std::uint64_t path_count = r.u64();
-  result.path.reserve(std::min(path_count, kReserveCap));
+  // These counts come from a .result file that may be corrupt.
+  const std::uint64_t path_count = r.count(kEncodedWord);
+  result.path.reserve(path_count);
   for (std::uint64_t i = 0; i < path_count; ++i) {
     result.path.push_back(static_cast<net::NodeId>(r.u64()));
   }
-  const std::uint64_t position_count = r.u64();
-  result.final_positions.reserve(std::min(position_count, kReserveCap));
+  const std::uint64_t position_count = r.count(2 * kEncodedWord);
+  result.final_positions.reserve(position_count);
   for (std::uint64_t i = 0; i < position_count; ++i) {
     geom::Vec2 p;
     p.x = r.f64();
     p.y = r.f64();
     result.final_positions.push_back(p);
   }
-  const std::uint64_t energy_count = r.u64();
-  result.final_energies.reserve(std::min(energy_count, kReserveCap));
+  const std::uint64_t energy_count = r.count(kEncodedWord);
+  result.final_energies.reserve(energy_count);
   for (std::uint64_t i = 0; i < energy_count; ++i) {
     result.final_energies.push_back(util::Joules{r.f64()});
   }

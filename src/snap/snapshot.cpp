@@ -1,6 +1,7 @@
 #include "snap/snapshot.hpp"
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -26,6 +27,58 @@
 namespace imobif::snap {
 
 namespace {
+
+// Smallest encoding of one element of each decoded list (the element's
+// unconditional fields), for bounding untrusted counts with
+// StateReader::count before anything is allocated.
+constexpr std::size_t kMinFlowSpec =
+    7 * kEncodedWord + kEncodedU8 + kEncodedBool;
+constexpr std::size_t kMinPosition = 2 * kEncodedWord;
+constexpr std::size_t kMinFlowProgress =
+    kMinFlowSpec + 9 * kEncodedWord + 4 * kEncodedBool;
+constexpr std::size_t kMinLink = 2 * kEncodedWord + kEncodedBool;
+constexpr std::size_t kMinNode = 10 * kEncodedWord + kEncodedBool;
+constexpr std::size_t kMinNeighbor = 5 * kEncodedWord;
+constexpr std::size_t kMinFlowEntry = 12 * kEncodedWord + kEncodedU8 +
+                                      4 * kEncodedBool + 4 * kEncodedU32;
+constexpr std::size_t kMinGenerator = 6 * kEncodedWord;
+constexpr std::size_t kMinEvent = 3 * kEncodedWord + kEncodedU8;
+
+// --- range checks on decoded values that restore hands to layers whose
+// contracts assume them (the event queue, Time arithmetic, the grid index,
+// Battery::restore). A snapshot is untrusted input: a value outside these
+// ranges is a corrupt file, rejected with its byte offset. ---
+
+/// Simulated times lie in [0, 2^62) ticks: beyond any run, and a run
+/// horizon added to one cannot overflow.
+constexpr std::int64_t kMaxTicks = std::int64_t{1} << 62;
+/// Node coordinates the grid index can map to cells, in meters.
+constexpr double kMaxCoordinate = 1e9;
+
+sim::Time decode_time(StateReader& r) {
+  const std::int64_t ticks = r.i64();
+  if (ticks < 0 || ticks >= kMaxTicks) {
+    r.fail("time of " + std::to_string(ticks) + " ticks out of range");
+  }
+  return sim::Time::from_ticks(ticks);
+}
+
+geom::Vec2 decode_position(StateReader& r) {
+  geom::Vec2 p;
+  p.x = r.f64();
+  p.y = r.f64();
+  // Written so that NaN fails too.
+  if (!(std::abs(p.x) <= kMaxCoordinate && std::abs(p.y) <= kMaxCoordinate)) {
+    r.fail("node position out of range");
+  }
+  return p;
+}
+
+double decode_finite(StateReader& r, const char* what) {
+  const double v = r.f64();
+  if (!std::isfinite(v)) r.fail(std::string(what) + " is not finite");
+  return v;
+}
 
 // --- shared encode templates (Sink = StateWriter or StateHash) ---
 
@@ -141,7 +194,7 @@ void encode_packet(Sink& s, const net::Packet& pkt) {
 
 net::Packet decode_packet(StateReader& r) {
   net::Packet pkt;
-  pkt.type = static_cast<net::PacketType>(r.u8());
+  const std::uint8_t type = r.u8();
   pkt.sender.id = static_cast<net::NodeId>(r.u64());
   pkt.sender.position.x = r.f64();
   pkt.sender.position.y = r.f64();
@@ -149,6 +202,14 @@ net::Packet decode_packet(StateReader& r) {
   pkt.link_dest = static_cast<net::NodeId>(r.u64());
   pkt.size_bits = util::Bits{r.f64()};
   const std::uint8_t body_index = r.u8();
+  // PacketType and the body variant list share one order, so a packet's
+  // type byte must equal its body index: handlers std::get the body the
+  // type names.
+  if (type != body_index) {
+    r.fail("packet type " + std::to_string(type) +
+           " does not match its body index " + std::to_string(body_index));
+  }
+  pkt.type = static_cast<net::PacketType>(type);
   switch (body_index) {
     case 0:
       pkt.body = net::HelloBody{};
@@ -365,9 +426,10 @@ void encode_dynamic(Sink& s, exp::InstanceRun& run) {
       s.i64(info.last_heard.ticks());
     }
 
-    const std::vector<const net::FlowEntry*> entries = node.flows().all();
-    s.u64(entries.size());
-    for (const net::FlowEntry* entry : entries) {
+    // Most nodes carry no flow: skip the sorted copy for them.
+    s.u64(node.flows().size());
+    if (node.flows().size() == 0) continue;
+    for (const net::FlowEntry* entry : node.flows().all()) {
       s.u64(entry->id);
       s.u64(entry->source);
       s.u64(entry->destination);
@@ -457,10 +519,12 @@ void encode_dynamic(Sink& s, exp::InstanceRun& run) {
 }  // namespace
 
 std::string encode(exp::InstanceRun& run) {
-  StateWriter writer;
+  // Reserved up front: growing the buffer mid-encode costs more than the
+  // encode. The paper's scenarios take 0.5-1 KB per node.
+  StateWriter writer(1024 * (run.network().node_count() + 1));
   encode_meta(writer, run);
   encode_dynamic(writer, run);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 void save(exp::InstanceRun& run, const std::string& path) {
@@ -513,29 +577,31 @@ DecodedMeta decode_meta(StateReader& r) {
   meta.options.horizon_factor = r.f64();
   meta.options.horizon_slack_s = util::Seconds{r.f64()};
   meta.options.multi_flow_blending = r.boolean();
-  const std::uint64_t extra_count = r.u64();
+  const std::uint64_t extra_count = r.count(kMinFlowSpec);
   meta.options.extra_flows.reserve(extra_count);
   for (std::uint64_t i = 0; i < extra_count; ++i) {
     meta.options.extra_flows.push_back(decode_flow_spec(r));
   }
 
-  const std::uint64_t position_count = r.u64();
+  const std::uint64_t position_count = r.count(kMinPosition);
   meta.instance.positions.reserve(position_count);
   for (std::uint64_t i = 0; i < position_count; ++i) {
-    geom::Vec2 p;
-    p.x = r.f64();
-    p.y = r.f64();
-    meta.instance.positions.push_back(p);
+    meta.instance.positions.push_back(decode_position(r));
   }
-  const std::uint64_t energy_count = r.u64();
+  const std::uint64_t energy_count = r.count(kEncodedWord);
   meta.instance.energies.reserve(energy_count);
+  if (energy_count != position_count) {
+    r.fail("instance has " + std::to_string(position_count) +
+           " positions but " + std::to_string(energy_count) + " energies");
+  }
   for (std::uint64_t i = 0; i < energy_count; ++i) {
-    meta.instance.energies.push_back(util::Joules{r.f64()});
+    meta.instance.energies.push_back(
+        util::Joules{decode_finite(r, "initial energy")});
   }
   meta.instance.source = static_cast<net::NodeId>(r.u64());
   meta.instance.destination = static_cast<net::NodeId>(r.u64());
   meta.instance.flow_bits = util::Bits{r.f64()};
-  const std::uint64_t path_count = r.u64();
+  const std::uint64_t path_count = r.count(kEncodedWord);
   meta.instance.initial_path.reserve(path_count);
   for (std::uint64_t i = 0; i < path_count; ++i) {
     meta.instance.initial_path.push_back(static_cast<net::NodeId>(r.u64()));
@@ -549,9 +615,9 @@ DecodedMeta decode_meta(StateReader& r) {
   }
 
   meta.warmup_consumed = util::Joules{r.f64()};
-  meta.flow_start = sim::Time::from_ticks(r.i64());
+  meta.flow_start = decode_time(r);
   meta.in_chunk = r.boolean();
-  meta.chunk_end = sim::Time::from_ticks(r.i64());
+  meta.chunk_end = decode_time(r);
   meta.done = r.boolean();
   r.end_section();
   return meta;
@@ -585,22 +651,22 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
   // Clock first: at() rejects scheduling in the past, so every restored
   // event below needs `now` already seated.
   r.begin_section("sim");
-  const sim::Time now = sim::Time::from_ticks(r.i64());
+  const sim::Time now = decode_time(r);
   const std::uint64_t executed = r.u64();
   sim.restore_clock(now, static_cast<std::size_t>(executed));
   r.end_section();
 
   r.begin_section("network");
-  network.restore_last_progress(sim::Time::from_ticks(r.i64()));
+  network.restore_last_progress(decode_time(r));
   const bool has_first_death = r.boolean();
   if (has_first_death) {
-    network.restore_first_death(sim::Time::from_ticks(r.i64()));
+    network.restore_first_death(decode_time(r));
   } else {
     network.restore_first_death(std::nullopt);
   }
   network.restore_dead_nodes(static_cast<std::size_t>(r.u64()));
   network.restore_total_data_drops(r.u64());
-  const std::uint64_t flow_count = r.u64();
+  const std::uint64_t flow_count = r.count(kMinFlowProgress);
   for (std::uint64_t i = 0; i < flow_count; ++i) {
     net::FlowProgress prog;
     prog.spec = decode_flow_spec(r);
@@ -617,11 +683,11 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
     prog.completed = r.boolean();
     const bool has_completion = r.boolean();
     if (has_completion) {
-      prog.completion_time = sim::Time::from_ticks(r.i64());
+      prog.completion_time = decode_time(r);
     }
     const bool has_last_delivery = r.boolean();
     if (has_last_delivery) {
-      prog.last_delivery_time = sim::Time::from_ticks(r.i64());
+      prog.last_delivery_time = decode_time(r);
     }
     network.restore_flow_progress(prog);
   }
@@ -642,7 +708,7 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
   if (has_injector) {
     net::FaultInjector& injector =
         network.medium().restore_fault_injector(params.fault);
-    const std::uint64_t link_count = r.u64();
+    const std::uint64_t link_count = r.count(kMinLink);
     for (std::uint64_t i = 0; i < link_count; ++i) {
       const std::uint64_t key = r.u64();
       const std::uint64_t packets = r.u64();
@@ -656,7 +722,7 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
   r.end_section();
 
   r.begin_section("nodes");
-  const std::uint64_t node_count = r.u64();
+  const std::uint64_t node_count = r.count(kMinNode);
   if (node_count != network.node_count()) {
     throw std::runtime_error(
         "snapshot: node count mismatch (snapshot " +
@@ -665,34 +731,39 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
   }
   for (std::uint64_t i = 0; i < node_count; ++i) {
     net::Node& node = network.node(static_cast<net::NodeId>(i));
-    geom::Vec2 position;
-    position.x = r.f64();
-    position.y = r.f64();
-    node.set_position(position);
+    node.set_position(decode_position(r));
     node.restore_faulted(r.boolean());
     node.restore_total_moved(util::Meters{r.f64()});
 
-    const util::Joules battery_initial{r.f64()};
-    const util::Joules battery_residual{r.f64()};
+    const util::Joules battery_initial{decode_finite(r, "battery charge")};
+    const util::Joules battery_residual{decode_finite(r, "battery charge")};
     const util::Joules battery_tx{r.f64()};
     const util::Joules battery_move{r.f64()};
     const util::Joules battery_other{r.f64()};
     node.battery().restore(battery_initial, battery_residual, battery_tx,
                            battery_move, battery_other);
 
-    const std::uint64_t neighbor_count = r.u64();
+    // Encoded in table order, so the decoded list is the table once its
+    // order is verified.
+    const std::uint64_t neighbor_count = r.count(kMinNeighbor);
+    std::vector<net::NeighborInfo> neighbors;
+    neighbors.reserve(neighbor_count);
     for (std::uint64_t n = 0; n < neighbor_count; ++n) {
-      const net::NodeId id = static_cast<net::NodeId>(r.u64());
-      geom::Vec2 neighbor_position;
-      neighbor_position.x = r.f64();
-      neighbor_position.y = r.f64();
-      const util::Joules residual_energy{r.f64()};
-      const sim::Time last_heard = sim::Time::from_ticks(r.i64());
-      node.neighbors().upsert(id, neighbor_position, residual_energy,
-                              last_heard);
+      net::NeighborInfo info;
+      info.id = static_cast<net::NodeId>(r.u64());
+      if (!neighbors.empty() && info.id <= neighbors.back().id) {
+        r.fail("neighbor ids of node " + std::to_string(i) +
+               " are not strictly ascending");
+      }
+      info.position.x = r.f64();
+      info.position.y = r.f64();
+      info.residual_energy = util::Joules{r.f64()};
+      info.last_heard = decode_time(r);
+      neighbors.push_back(info);
     }
+    node.neighbors().restore_entries(std::move(neighbors));
 
-    const std::uint64_t entry_count = r.u64();
+    const std::uint64_t entry_count = r.count(kMinFlowEntry);
     for (std::uint64_t n = 0; n < entry_count; ++n) {
       const net::FlowId flow_id = static_cast<net::FlowId>(r.u64());
       net::FlowEntry& entry = node.flows().ensure(flow_id);
@@ -746,19 +817,19 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
     std::array<std::uint64_t, 4> rng_state{};
     for (std::uint64_t& word : rng_state) word = r.u64();
     motion->model().rng().set_state(rng_state);
-    std::vector<double> model_state(r.u64());
+    std::vector<double> model_state(r.count(kEncodedWord));
     for (double& v : model_state) v = r.f64();
     motion->model().restore_state(model_state);
   }
   r.end_section();
 
   r.begin_section("traffic");
-  const std::uint64_t generator_count = r.u64();
+  const std::uint64_t generator_count = r.count(kMinGenerator);
   for (std::uint64_t i = 0; i < generator_count; ++i) {
     const net::FlowId flow_id = static_cast<net::FlowId>(r.u64());
     std::array<std::uint64_t, 4> rng_state{};
     for (std::uint64_t& word : rng_state) word = r.u64();
-    std::vector<double> gen_state(r.u64());
+    std::vector<double> gen_state(r.count(kEncodedWord));
     for (double& v : gen_state) v = r.f64();
     network.restore_traffic_state(flow_id, rng_state, gen_state);
   }
@@ -770,9 +841,9 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
   // the network's one scheduling path; an in-flight packet is stored in
   // the medium's slab first so the record can name its slot.
   r.begin_section("events");
-  const std::uint64_t event_count = r.u64();
+  const std::uint64_t event_count = r.count(kMinEvent);
   for (std::uint64_t i = 0; i < event_count; ++i) {
-    const sim::Time when = sim::Time::from_ticks(r.i64());
+    const sim::Time when = decode_time(r);
     sim::EventTag tag;
     tag.kind = static_cast<sim::EventTag::Kind>(r.u8());
     tag.a = r.u64();

@@ -37,8 +37,13 @@ void save(exp::InstanceRun& run, const std::string& path);
 
 /// Rebuilds a run from encode() output in any process. The returned run
 /// continues exactly where the original stood; advance()ing both yields
-/// identical results. Throws std::runtime_error on codec errors (bad
-/// magic, unsupported version, layout mismatch).
+/// identical results. Throws std::runtime_error, naming the byte offset,
+/// on codec errors (bad magic, unsupported version, layout mismatch) and
+/// on corrupt contents (a count larger than the bytes left, a packet type
+/// that disagrees with its body, an out-of-range time or position), and
+/// std::invalid_argument when the embedded scenario or state is one the
+/// simulator rejects; the snapshot fuzz target checks that nothing else
+/// escapes.
 std::unique_ptr<exp::InstanceRun> restore(const std::string& data);
 
 /// StateReader::from_file + restore().

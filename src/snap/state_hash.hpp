@@ -1,44 +1,82 @@
-// StateHash: a 64-bit incremental digest over the snapshot encoding.
+// StateHash: a 64-bit incremental digest over the snapshot value stream.
 //
 // Implements the same Sink method set as snap::StateWriter, so the
 // templated encode functions in snapshot.cpp can feed either one: hashing
-// a run is exactly "encode it and hash the bytes" without materializing
-// the bytes. FNV-1a over the tagged byte stream — the tags (and section
-// framing) are hashed too, so two different field sequences can never
-// collide by concatenation.
+// a run walks exactly the values an encode would write, without
+// materializing the bytes.
+//
+// Each value costs one mixing step: its payload (zero-extended to 64 bits)
+// is xored into the state, multiplied by an odd constant and folded with
+// an xor-shift, and then the value's tag is xored in. Strings and section
+// names mix their length that way and then their bytes eight at a time
+// (the last block zero-padded). Every step is a bijection of the state for
+// fixed input, so two streams that differ in one value's tag or payload and
+// agree afterwards always end with different digests; the tags and lengths
+// in the stream keep a u64 apart from an f64 with the same bits and "ab","c"
+// apart from "a","bc". digest() applies a final avalanche.
 //
 // This is a divergence detector for replay bisection, not a cryptographic
-// commitment; 64 bits is ample for comparing two runs event-by-event.
+// commitment; 64 bits is ample for comparing two runs event-by-event. Only
+// hashes from the same build are ever compared: none is stored.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
+
+#include "snap/codec.hpp"
 
 namespace imobif::snap {
 
 // snap:transient(hash accumulator, not simulated run state)
 class StateHash {
  public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
-  void boolean(bool v);
-  void str(std::string_view v);
-  void begin_section(std::string_view name);
-  void end_section();
+  void u8(std::uint8_t v) { value(Tag::kU8, v); }
+  void u32(std::uint32_t v) { value(Tag::kU32, v); }
+  void u64(std::uint64_t v) { value(Tag::kU64, v); }
+  void i64(std::int64_t v) {
+    value(Tag::kI64, static_cast<std::uint64_t>(v));
+  }
+  void f64(double v) { value(Tag::kF64, std::bit_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { value(Tag::kBool, v ? 1 : 0); }
+  void str(std::string_view v) { text(Tag::kString, v); }
+  void begin_section(std::string_view name) {
+    text(Tag::kSectionBegin, name);
+  }
+  void end_section() { value(Tag::kSectionEnd, 0); }
 
-  std::uint64_t digest() const { return hash_; }
+  std::uint64_t digest() const {
+    std::uint64_t h = hash_;
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdull;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+  }
 
  private:
-  void byte(std::uint8_t b) { hash_ = (hash_ ^ b) * kPrime; }
-  void bytes_le(std::uint64_t v, int n);
+  void word(std::uint64_t w) {
+    hash_ = (hash_ ^ w) * kMul;
+    hash_ ^= hash_ >> 32;
+  }
+  void value(Tag tag, std::uint64_t payload) {
+    word(payload);
+    hash_ ^= static_cast<std::uint64_t>(tag);
+  }
+  void text(Tag tag, std::string_view v) {
+    value(tag, v.size());
+    std::size_t i = 0;
+    for (; i + 8 <= v.size(); i += 8) {
+      word(detail::load_le<std::uint64_t>(v.data() + i));
+    }
+    if (i < v.size()) {
+      char tail[8] = {};
+      for (std::size_t k = 0; i + k < v.size(); ++k) tail[k] = v[i + k];
+      word(detail::load_le<std::uint64_t>(tail));
+    }
+  }
 
-  static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
-  static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  static constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;  // odd
 
-  std::uint64_t hash_ = kOffsetBasis;
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
 }  // namespace imobif::snap

@@ -1,14 +1,19 @@
-// Fuzz target for the snapshot codec: arbitrary untrusted bytes fed to
-// snap::StateReader / snap::debug_dump must be rejected with a typed
-// std::runtime_error — never a crash, hang, or undefined behavior. A
-// checkpoint file is the one input the simulator reads that it did not
-// produce in the same process, so this is the trust boundary.
+// Fuzz target for the snapshot codec and restore: arbitrary untrusted
+// bytes fed to snap::StateReader / snap::debug_dump must be rejected with a
+// typed std::runtime_error, and snap::restore must either rebuild a run or
+// throw std::runtime_error / std::invalid_argument (the scenario text is
+// validated like a config file) — never a crash, hang, other exception or
+// undefined behavior. A checkpoint file is the one input the simulator
+// reads that it did not produce in the same process, so this is the trust
+// boundary. The corpus holds a real mid-flight snapshot, so mutations reach
+// every section restore decodes.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "snap/codec.hpp"
+#include "snap/snapshot.hpp"
 
 namespace {
 
@@ -51,5 +56,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     while (!r.at_end()) (void)r.f64();
     r.end_section();
   });
+
+  try {
+    (void)imobif::snap::restore(bytes);
+  } catch (const std::runtime_error&) {
+  } catch (const std::invalid_argument&) {
+  }
   return 0;
 }

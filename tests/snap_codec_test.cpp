@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
+
+#include "snap_known_answer.hpp"
 
 namespace imobif::snap {
 namespace {
@@ -50,6 +55,57 @@ TEST(SnapCodec, RoundTripsEveryType) {
   EXPECT_TRUE(r.at_end());
 }
 
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<std::uint8_t>(c);
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+// Pins codec v2 byte for byte, independently of the simulator: a change
+// here breaks every existing .ckpt file.
+TEST(SnapCodec, KnownAnswerBytes) {
+  StateWriter w;
+  test::known_answer_sequence(w);
+  const std::string expected =
+      "494d534e" "02000000"               // magic, version 2
+      "08" "03000000" "6b6174"            // begin "kat"
+      "01" "ab"                           // u8
+      "02" "efbeadde"                     // u32
+      "03" "ffffffffffffffff"             // u64 max
+      "04" "0000000000000080"             // i64 min
+      "05" "0000000000000080"             // f64 -0.0
+      "05" "efbe00000000f87f"             // f64 NaN payload
+      "06" "01"                           // true
+      "06" "00"                           // false
+      "07" "00000000"                     // ""
+      "07" "05000000" "00ff7f6162"        // binary string
+      "08" "05000000" "696e6e6572"        // begin "inner"
+      "03" "0100000000000000"             // u64 1
+      "09"                                // end "inner"
+      "09";                               // end "kat"
+  EXPECT_EQ(to_hex(w.data()), expected);
+  EXPECT_EQ(to_hex(std::move(w).take()), expected);
+}
+
+TEST(SnapCodec, CountIsBoundedByTheBytesLeft) {
+  StateWriter w;
+  w.u64(3);
+  for (int i = 0; i < 3; ++i) w.f64(1.0);
+  {
+    StateReader r(w.data());
+    EXPECT_EQ(r.count(kEncodedWord), 3u);  // exactly fits
+  }
+  {
+    StateReader r(w.data());
+    EXPECT_THROW((void)r.count(kEncodedWord + 1), std::runtime_error);
+  }
+}
+
 TEST(SnapCodec, BinaryStringsSurviveRoundTrip) {
   std::string blob;
   for (int i = 0; i < 256; ++i) blob.push_back(static_cast<char>(i));
@@ -85,8 +141,8 @@ TEST(SnapCodec, SectionNameMismatchThrows) {
 TEST(SnapCodec, TruncatedStreamThrows) {
   StateWriter w;
   w.u64(12345);
-  const std::string& full = w.data();
-  StateReader r(full.substr(0, full.size() - 3));
+  const std::string_view truncated = w.data().substr(0, w.data().size() - 3);
+  StateReader r(truncated);
   EXPECT_THROW((void)r.u64(), std::runtime_error);
 }
 
@@ -98,7 +154,7 @@ TEST(SnapCodec, BadMagicRejected) {
 TEST(SnapCodec, UnknownVersionRejectedWithClearError) {
   StateWriter w;
   w.u64(1);
-  std::string bytes = w.data();
+  std::string bytes(w.data());
   bytes[4] = '\x63';  // version 99
   try {
     StateReader r(bytes);

@@ -9,11 +9,13 @@
 // and model state, traffic generator state — and every perturbation must
 // move the hash. Meta-only state (the sampler RNG) must NOT move it, since
 // replay bisection compares hashes across runs that intentionally differ
-// in a meta parameter.
+// in a meta parameter. The digest itself is pinned on a fixed value
+// sequence, with its tag, length and framing sensitivity.
 #include "snap/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +23,8 @@
 
 #include "exp/instance.hpp"
 #include "mob/params.hpp"
+#include "snap/state_hash.hpp"
+#include "snap_known_answer.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/params.hpp"
 #include "util/rng.hpp"
@@ -139,6 +143,73 @@ TEST(SnapStateHashTest, EveryDynamicSectionMovesTheDigest) {
   // sim/events sections: executing one more event advances the clock.
   run->advance(1);
   expect_moved("simulator clock after one event");
+}
+
+template <class Fn>
+std::uint64_t digest_of(Fn&& feed) {
+  StateHash h;
+  feed(h);
+  return h.digest();
+}
+
+// Pins the digest function: only hashes from one build are ever compared,
+// but a change to the mixing must be deliberate.
+TEST(SnapStateHashTest, KnownAnswerDigest) {
+  EXPECT_EQ(digest_of([](StateHash& h) { test::known_answer_sequence(h); }),
+            0x8f0cd576527dc435ull);
+  EXPECT_EQ(digest_of([](StateHash&) {}), 0xefd01f60ba992926ull);
+}
+
+TEST(SnapStateHashTest, TagSeparatesSameBits) {
+  const std::uint64_t x = 0x400921fb54442d18ull;  // pi's bit pattern
+  const std::uint64_t as_u64 = digest_of([&](StateHash& h) { h.u64(x); });
+  const std::uint64_t as_i64 = digest_of(
+      [&](StateHash& h) { h.i64(static_cast<std::int64_t>(x)); });
+  const std::uint64_t as_f64 =
+      digest_of([&](StateHash& h) { h.f64(std::bit_cast<double>(x)); });
+  EXPECT_NE(as_u64, as_i64);
+  EXPECT_NE(as_u64, as_f64);
+  EXPECT_NE(as_i64, as_f64);
+}
+
+TEST(SnapStateHashTest, StringLengthsSeparateConcatenations) {
+  EXPECT_NE(digest_of([](StateHash& h) {
+              h.str("ab");
+              h.str("c");
+            }),
+            digest_of([](StateHash& h) {
+              h.str("a");
+              h.str("bc");
+            }));
+  // Eight-byte blocks and the zero-padded tail both enter the digest.
+  EXPECT_NE(digest_of([](StateHash& h) { h.str("0123456789"); }),
+            digest_of([](StateHash& h) { h.str("0123456789a"); }));
+  EXPECT_NE(digest_of([](StateHash& h) { h.str("01234567x9"); }),
+            digest_of([](StateHash& h) { h.str("0123456789"); }));
+}
+
+TEST(SnapStateHashTest, SectionFramingMovesTheDigest) {
+  const std::uint64_t flat = digest_of([](StateHash& h) { h.u64(7); });
+  const std::uint64_t framed = digest_of([](StateHash& h) {
+    h.begin_section("s");
+    h.u64(7);
+    h.end_section();
+  });
+  const std::uint64_t renamed = digest_of([](StateHash& h) {
+    h.begin_section("t");
+    h.u64(7);
+    h.end_section();
+  });
+  const std::uint64_t nested = digest_of([](StateHash& h) {
+    h.begin_section("s");
+    h.begin_section("s");
+    h.u64(7);
+    h.end_section();
+    h.end_section();
+  });
+  EXPECT_NE(flat, framed);
+  EXPECT_NE(framed, renamed);
+  EXPECT_NE(framed, nested);
 }
 
 }  // namespace
