@@ -7,6 +7,8 @@
 // Results are bit-identical for any --jobs value: each job's instance is
 // sampled from a seed derived statelessly from (base seed, job index).
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/report.hpp"
@@ -17,9 +19,14 @@ int main(int argc, char** argv) {
   using namespace imobif;
 
   const util::Args args(argc, argv);
-  const std::size_t instances =
-      static_cast<std::size_t>(args.get_int("instances", 8));
-  const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 4));
+  // Same rules as the bench CLI: at least one instance, --jobs < 1 means 1.
+  const std::int64_t instances = args.get_int("instances", 8);
+  if (instances < 1) {
+    throw std::invalid_argument(
+        "Args: --instances expects a positive integer, got " +
+        std::to_string(instances));
+  }
+  const std::int64_t jobs = args.get_int("jobs", 4);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 7));
 
@@ -29,13 +36,14 @@ int main(int argc, char** argv) {
   params.mean_flow_bits = util::Bits{100.0 * 1024.0 * 8.0};
 
   // One job per instance, every job replayed under iMobif.
-  std::vector<runtime::SweepJob> sweep(instances);
+  std::vector<runtime::SweepJob> sweep(static_cast<std::size_t>(instances));
   for (auto& job : sweep) {
     job.params = params;
     job.mode = core::MobilityMode::kInformed;
   }
 
-  const runtime::SweepEngine engine(jobs);
+  const runtime::SweepEngine engine(
+      jobs < 1 ? 1 : static_cast<std::size_t>(jobs));
   const auto outcomes = engine.run(sweep, seed);
 
   std::vector<double> total_energy, moved_m;

@@ -22,8 +22,6 @@
 #include "core/strategy.hpp"           // IWYU pragma: export
 #include "energy/battery.hpp"          // IWYU pragma: export
 #include "energy/mobility_model.hpp"   // IWYU pragma: export
-#include "energy/power_distance_table.hpp"  // IWYU pragma: export
 #include "energy/radio_model.hpp"      // IWYU pragma: export
-#include "net/aodv_routing.hpp"        // IWYU pragma: export
 #include "net/greedy_routing.hpp"      // IWYU pragma: export
 #include "net/network.hpp"             // IWYU pragma: export

@@ -56,7 +56,8 @@ struct ScenarioParams {
   util::Seconds hello_interval_s{10.0};
   util::Seconds warmup_s{25.0};
   /// Localization error radius for advertised positions (Assumption 2
-  /// backed by src/loc instead of GPS); 0 = perfect (ablation A9).
+  /// backed by imperfect localization instead of GPS); 0 = perfect
+  /// (ablation A9).
   util::Meters position_error_m{0.0};
   /// HELLO beacons are free by default in experiments so the measured
   /// energy isolates the paper's E_T + E_M terms; the protocol itself

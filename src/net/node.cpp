@@ -193,21 +193,6 @@ bool Node::transmit(Packet pkt, NodeId next, geom::Vec2 next_position) {
   return services_.medium->unicast(*this, next, pkt);
 }
 
-bool Node::broadcast_packet(Packet pkt) {
-  if (!alive() || faulted_) return false;
-  const Joules cost = services_.radio->transmit_energy(
-      services_.medium->comm_range(), pkt.size_bits);
-  const Joules drawn = battery_.draw(cost, energy::DrawKind::kTransmit);
-  if (drawn + Joules{1e-15} < cost) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, pkt.type, DropReason::kNoEnergy);
-    }
-    return false;
-  }
-  services_.medium->broadcast(*this, pkt);
-  return true;
-}
-
 Meters Node::move_towards(geom::Vec2 target, Meters max_step,
                           util::JoulesPerMeter cost_per_meter) {
   IMOBIF_ENSURE(std::isfinite(target.x) && std::isfinite(target.y),

@@ -75,11 +75,11 @@ struct NodeConfig {
   /// Localization error radius: the position a node *advertises* (in
   /// HELLO beacons and packet stamps) is its true position plus a
   /// deterministic pseudo-random offset uniform in a disc of this radius,
-  /// modeling Assumption 2 backed by imperfect localization (src/loc)
-  /// instead of GPS. 0 = perfect positions. Transmit power control still
-  /// uses true distances (the radio, not the position service, handles
-  /// that); only *decisions* (routing, strategy targets, cost estimates)
-  /// see the error.
+  /// modeling Assumption 2 backed by imperfect (e.g. range-based)
+  /// localization instead of GPS. 0 = perfect positions. Transmit power
+  /// control still uses true distances (the radio, not the position
+  /// service, handles that); only *decisions* (routing, strategy targets,
+  /// cost estimates) see the error.
   util::Meters position_error_m{0.0};
 };
 
@@ -169,9 +169,6 @@ class Node {
   /// medium. `next_position` is the sender's local estimate of the next
   /// hop's location (neighbor table / packet stamps).
   bool transmit(Packet pkt, NodeId next, geom::Vec2 next_position);
-
-  /// Charges full-range transmit energy and broadcasts (RREQ flooding).
-  bool broadcast_packet(Packet pkt);
 
   /// Best local estimate of another node's info: neighbor table first,
   /// ground-truth oracle as fallback (documented GPS substitution).

@@ -22,6 +22,8 @@
 
 namespace imobif::net {
 
+/// Values are snapshot wire values and equal the index of the packet's body
+/// in Packet::body (pinned in snap/snapshot.cpp): append, never reorder.
 enum class PacketType : std::uint8_t {
   kHello,
   kData,
@@ -106,8 +108,10 @@ struct NotificationBody {
   std::uint8_t attempt = 0;
 };
 
-/// AODV-lite route discovery (substrate referenced by the framework
-/// description; the evaluation itself uses greedy geographic routing).
+/// Route-discovery control formats (request and reply) for protocols that
+/// plug in through RoutingProtocol::handle_control. The library's greedy
+/// protocols send none; the formats stay because their PacketType values
+/// and body indices (3, 4) are snapshot wire values (snap/snapshot.cpp).
 struct RouteRequestBody {
   NodeId origin = kInvalidNode;
   NodeId target = kInvalidNode;

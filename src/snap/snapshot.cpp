@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -133,6 +134,28 @@ net::FlowSpec decode_flow_spec(StateReader& r) {
   spec.length_estimate_factor = r.f64();
   return spec;
 }
+
+// Wire format of a packet: its type byte is also its body's variant index
+// (decode_packet rejects a mismatch), and both are snapshot bytes. Pin every
+// value so dropping or reordering a PacketType cannot silently re-number the
+// bodies after it. RREQ/RREP (3, 4) have no producer in the library but keep
+// their slots and codec arms for that reason: recruit packets stay at 5.
+using PacketBody = decltype(net::Packet::body);
+template <net::PacketType type>
+using BodyOf =
+    std::variant_alternative_t<static_cast<std::size_t>(type), PacketBody>;
+static_assert(std::variant_size_v<PacketBody> == 6);
+static_assert(std::is_same_v<BodyOf<net::PacketType::kHello>, net::HelloBody>);
+static_assert(std::is_same_v<BodyOf<net::PacketType::kData>, net::DataBody>);
+static_assert(std::is_same_v<BodyOf<net::PacketType::kNotification>,
+                             net::NotificationBody>);
+static_assert(std::is_same_v<BodyOf<net::PacketType::kRouteRequest>,
+                             net::RouteRequestBody>);
+static_assert(std::is_same_v<BodyOf<net::PacketType::kRouteReply>,
+                             net::RouteReplyBody>);
+static_assert(
+    std::is_same_v<BodyOf<net::PacketType::kRecruit>, net::RecruitBody>);
+static_assert(static_cast<std::uint8_t>(net::PacketType::kRecruit) == 5);
 
 template <class Sink>
 void encode_packet(Sink& s, const net::Packet& pkt) {

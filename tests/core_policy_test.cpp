@@ -195,5 +195,43 @@ TEST(PolicyModes, NonInformedNeverNotifies) {
                    .has_value());
 }
 
+TEST(ImobifPolicy, BlendedRelayServesBothBranches) {
+  // A fan: source 0 reaches destinations 3 (up) and 5 (down) through the
+  // shared relays 1 and 2. With blending on, relay 2's movement target is
+  // a compromise between the two branches; both flows still complete.
+  //
+  //                   /-- 3
+  //        0 -- 1 -- 2 -- 4
+  //                   \-- 5
+  test::HarnessOptions opts;
+  opts.mode = MobilityMode::kCostUnaware;
+  opts.k = 0.0;
+  auto h = make_harness(
+      {{0, 0}, {150, 0}, {300, 0}, {450, 80}, {450, 0}, {450, -80}}, opts);
+  h.policy->set_multi_flow_blending(true);
+  h.net().warmup(util::Seconds{25.0});
+  const std::vector<net::NodeId> destinations = {3, 5};
+  for (std::size_t i = 0; i < destinations.size(); ++i) {
+    net::FlowSpec spec;
+    spec.id = static_cast<net::FlowId>(10 + i);
+    spec.source = 0;
+    spec.destination = destinations[i];
+    spec.length_bits = util::Bits{8192.0 * 500};
+    spec.strategy = net::StrategyId::kMinTotalEnergy;
+    spec.initially_enabled = true;
+    h.net().start_flow(spec);
+  }
+  h.net().run_flows(util::Seconds{2500.0});
+  EXPECT_TRUE(h.net().progress(10).completed);
+  EXPECT_TRUE(h.net().progress(11).completed);
+  // Relay 2 feeds both branches symmetrically: blending keeps it near
+  // y = 0 instead of oscillating toward either branch.
+  EXPECT_NEAR(h.net().node(2).position().y, 0.0, 15.0);
+  // Without blending the relay chases each packet's own flow target and
+  // swings a full step per packet (1000 m over the 1000 packets); with
+  // it, the relay moves 171 m in all.
+  EXPECT_LT(h.net().node(2).total_moved(), util::Meters{500.0});
+}
+
 }  // namespace
 }  // namespace imobif::core

@@ -89,7 +89,7 @@ RULES = {
 }
 
 DET_LAYERS = ("sim", "net", "core", "exp", "energy", "snap", "mob",
-              "traffic", "geom", "loc")
+              "traffic", "geom")
 EXEMPT_SUFFIX = "util/thread_annotations.hpp"
 
 WAIVER_RE = re.compile(r"//\s*astlint:allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")

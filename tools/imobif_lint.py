@@ -101,7 +101,7 @@ RAW_UNIT_DOUBLE_RE = re.compile(
     r"[(,]\s*(?:const\s+)?double\s+\w+_(?:j|m|s|bits)\b"
 )
 # Directories whose public headers form the typed (units-bearing) layers.
-TYPED_LAYER_DIRS = ("energy", "core", "net", "mob", "traffic", "loc")
+TYPED_LAYER_DIRS = ("energy", "core", "net", "mob", "traffic")
 
 
 def lint_file(path):

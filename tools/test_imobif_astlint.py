@@ -95,10 +95,8 @@ def main():
                 "unordered-iteration", expected_count=2)
     check_fires(fixture("src", "traffic", "bad_iter.cpp"),
                 "unordered-iteration", expected_count=2)
-    # PR 10 widened DET_LAYERS to the geometry and localization layers.
+    # DET_LAYERS covers the geometry layer as well.
     check_fires(fixture("src", "geom", "bad_iter.cpp"),
-                "unordered-iteration", expected_count=1)
-    check_fires(fixture("src", "loc", "bad_iter.cpp"),
                 "unordered-iteration", expected_count=1)
     # Waiver audit: an allow() that suppresses nothing (or misspells the
     # rule) is itself a finding; good_iter.cpp below is the negative.

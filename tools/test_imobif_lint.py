@@ -87,9 +87,6 @@ def main():
     # The model-zoo layer is typed too: the same rule must gate src/mob/.
     check_fires(os.path.join("src", "mob", "bad_raw_unit_double.hpp"),
                 "raw-unit-double", expected_count=2)
-    # The localization layer joined TYPED_LAYER_DIRS in PR 10.
-    check_fires(os.path.join("src", "loc", "bad_raw_unit_double.hpp"),
-                "raw-unit-double", expected_count=2)
     check_fires("stale_waiver.cpp", "stale-waiver", expected_count=2)
     # waived_ok.cpp doubles as the stale-waiver negative: every waiver in
     # it suppresses a live finding, so none may be reported stale.
