@@ -201,12 +201,13 @@ inline void export_fault_counters(
   totals.export_to(report);
 }
 
-/// run_comparison routed through the parallel sweep runtime; bit-identical
-/// results for any --jobs value, and crash-resumable when --checkpoint-dir
-/// is set. Each call gets a distinct checkpoint scope ("s0-", "s1-", ...)
-/// from a per-process counter: bench binaries run panels/variants in a
-/// fixed order, so the Nth sweep maps to the same files in the original
-/// and the resuming process, while two sweeps never collide.
+/// runtime::run_comparison_parallel under the bench's --jobs and
+/// checkpoint flags: bit-identical results for any --jobs value, and
+/// crash-resumable when --checkpoint-dir is set. Each call gets a
+/// distinct checkpoint scope ("s0-", "s1-", ...) from a per-process
+/// counter: bench binaries run panels/variants in a fixed order, so the
+/// Nth sweep maps to the same files in the original and the resuming
+/// process, while two sweeps never collide.
 inline std::vector<exp::ComparisonPoint> run_comparison(
     const exp::ScenarioParams& params, const BenchConfig& config,
     const exp::RunOptions& options = {}) {

@@ -1,11 +1,12 @@
 // Minimal tour of the parallel experiment runtime: fan a Monte Carlo
-// sweep across worker threads with the SweepEngine, aggregate the result
-// series with a SweepReport, and export a JSON artifact.
+// comparison across worker threads with run_comparison_parallel,
+// aggregate the energy ratios with a SweepReport, and export a JSON
+// artifact.
 //
 //   parallel_sweep [--instances N] [--jobs N] [--seed S] [--json PATH]
 //
-// Results are bit-identical for any --jobs value: each job's instance is
-// sampled from a seed derived statelessly from (base seed, job index).
+// Results are bit-identical for any --jobs value: instance i is sampled
+// from the i-th fork() of Rng(seed), drawn in order before dispatch.
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -27,39 +28,35 @@ int main(int argc, char** argv) {
         std::to_string(instances));
   }
   const std::int64_t jobs = args.get_int("jobs", 4);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
 
   exp::ScenarioParams params;
   params.node_count = 60;
   params.area_m = util::Meters{800.0};
   params.mean_flow_bits = util::Bits{100.0 * 1024.0 * 8.0};
+  params.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
 
-  // One job per instance, every job replayed under iMobif.
-  std::vector<runtime::SweepJob> sweep(static_cast<std::size_t>(instances));
-  for (auto& job : sweep) {
-    job.params = params;
-    job.mode = core::MobilityMode::kInformed;
-  }
-
-  const runtime::SweepEngine engine(
+  // Each instance is replayed under no mobility, cost-unaware mobility
+  // and iMobif; the ratios compare total energy against no mobility. On
+  // flows this short, moving rarely pays for itself: cost-unaware
+  // mobility overspends, and iMobif mostly keeps mobility off (ratio 1).
+  const auto points = runtime::run_comparison_parallel(
+      params, static_cast<std::size_t>(instances), {},
       jobs < 1 ? 1 : static_cast<std::size_t>(jobs));
-  const auto outcomes = engine.run(sweep, seed);
 
-  std::vector<double> total_energy, moved_m;
-  for (const auto& outcome : outcomes) {
-    total_energy.push_back(outcome.result.total_energy_j.value());
-    moved_m.push_back(outcome.result.moved_distance_m.value());
-    std::cout << "seed " << outcome.seed << "  hops " << outcome.hops
-              << "  energy " << outcome.result.total_energy_j.value()
-              << " J  moved " << outcome.result.moved_distance_m.value()
-              << " m\n";
+  std::vector<double> informed, cost_unaware;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const exp::ComparisonPoint& pt = points[i];
+    informed.push_back(pt.energy_ratio_informed());
+    cost_unaware.push_back(pt.energy_ratio_cost_unaware());
+    std::cout << "instance " << i << "  hops " << pt.hops
+              << "  imobif ratio " << informed.back()
+              << "  cost-unaware ratio " << cost_unaware.back() << "\n";
   }
 
   runtime::SweepReport report("parallel_sweep_example");
-  report.set_meta("base_seed", seed);
-  report.add_series("total_energy_j", total_energy);
-  report.add_series("moved_distance_m", moved_m);
+  report.set_meta("seed", params.seed);
+  report.add_series("energy_ratio_informed", informed);
+  report.add_series("energy_ratio_cost_unaware", cost_unaware);
 
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "exp/experiments.hpp"
+#include "runtime/sweep.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   std::cout << "iMobif quickstart: one 1 MB-mean flow, k = 0.5 J/m, "
                "alpha = 2\n\n";
 
-  const auto points = exp::run_comparison(params, /*flow_count=*/1);
+  const auto points =
+      runtime::run_comparison_parallel(params, /*flow_count=*/1);
   const exp::ComparisonPoint& pt = points.front();
 
   std::cout << "flow length: " << pt.flow_bits.value() / 8192.0

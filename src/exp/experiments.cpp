@@ -1,7 +1,5 @@
 #include "exp/experiments.hpp"
 
-#include <stdexcept>
-
 namespace imobif::exp {
 
 namespace {
@@ -28,31 +26,6 @@ double ComparisonPoint::lifetime_ratio_cost_unaware() const {
 
 double ComparisonPoint::lifetime_ratio_informed() const {
   return safe_ratio(informed.lifetime_s.value(), baseline.lifetime_s.value());
-}
-
-std::vector<ComparisonPoint> run_comparison(const ScenarioParams& params,
-                                            std::size_t flow_count,
-                                            const RunOptions& options) {
-  params.validate();
-  util::Rng rng(params.seed);
-  std::vector<ComparisonPoint> points;
-  points.reserve(flow_count);
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    util::Rng instance_rng = rng.fork();
-    const FlowInstance instance = sample_instance(params, instance_rng);
-
-    ComparisonPoint point;
-    point.flow_bits = instance.flow_bits;
-    point.hops = instance.initial_path.size() - 1;
-    point.baseline = run_instance(instance, params,
-                                  core::MobilityMode::kNoMobility, options);
-    point.cost_unaware = run_instance(
-        instance, params, core::MobilityMode::kCostUnaware, options);
-    point.informed = run_instance(instance, params,
-                                  core::MobilityMode::kInformed, options);
-    points.push_back(std::move(point));
-  }
-  return points;
 }
 
 PlacementSnapshot run_placement(const ScenarioParams& params,

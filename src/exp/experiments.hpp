@@ -1,7 +1,8 @@
-// Figure-level experiment drivers (paper Section 4). Each driver replays N
-// sampled flow instances under the three approaches the paper compares —
-// no mobility (baseline), cost-unaware mobility, and iMobif — and returns
-// per-instance series shaped like the corresponding figure.
+// Figure-level experiment results (paper Section 4). A ComparisonPoint is
+// one sampled flow instance replayed under the three approaches the paper
+// compares — no mobility (baseline), cost-unaware mobility, and iMobif;
+// runtime::run_comparison_parallel produces them. run_placement is the
+// Fig 5 driver.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,6 @@ struct ComparisonPoint {
   double lifetime_ratio_cost_unaware() const;
   double lifetime_ratio_informed() const;
 };
-
-/// Runs `flow_count` instances of the scenario; deterministic in
-/// (params.seed, flow_count). `options` applies to every run.
-std::vector<ComparisonPoint> run_comparison(const ScenarioParams& params,
-                                            std::size_t flow_count,
-                                            const RunOptions& options = {});
 
 /// Fig 5: one instance run to steady state under a given mode+strategy;
 /// exposes the flow path with initial/final positions and energies.

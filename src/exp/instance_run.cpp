@@ -9,13 +9,6 @@
 
 namespace imobif::exp {
 
-namespace {
-/// Chunk length and stall window of the legacy Network::run_flows() loop;
-/// advance() must match them exactly for bit-identical replays.
-const sim::Time kChunk = sim::Time::from_seconds(5.0);
-const sim::Time kStallWindow = sim::Time::from_seconds(120.0);
-}  // namespace
-
 InstanceRun::InstanceRun(const FlowInstance& instance,
                          const ScenarioParams& params, core::MobilityMode mode,
                          const RunOptions& options)
@@ -23,8 +16,7 @@ InstanceRun::InstanceRun(const FlowInstance& instance,
       params_(params),
       mode_(mode),
       options_(options),
-      mobility_model_(params.mobility),
-      stall_window_(kStallWindow) {}
+      mobility_model_(params.mobility) {}
 
 void InstanceRun::build_network() {
   net::NetworkConfig config;
@@ -133,7 +125,7 @@ std::unique_ptr<InstanceRun> InstanceRun::create(const FlowInstance& instance,
   }
 
   run->compute_horizon();
-  // Matches the last_progress reset at the top of run_flows().
+  // Stall detection counts from the flow start, as in run_flows().
   network.restore_last_progress(run->flow_start_);
   return run;
 }
@@ -162,12 +154,7 @@ void InstanceRun::restore_run_state(util::Joules warmup_consumed,
 bool InstanceRun::at_completion() const {
   if (done_) return true;
   if (in_chunk_) return false;
-  // Between-chunk checks, in the exact order of run_flows().
-  const sim::Simulator& sim = network_->simulator();
-  return sim.now() >= horizon_ || network_->all_flows_complete() ||
-         (network_->stop_on_first_death() &&
-          network_->first_death_time().has_value()) ||
-         sim.now() - network_->last_progress() > stall_window_;
+  return network_->flow_loop_done(horizon_);
 }
 
 bool InstanceRun::advance(std::size_t max_events) {
@@ -181,7 +168,7 @@ bool InstanceRun::advance(std::size_t max_events) {
         return true;
       }
       if (checkpoint_hook_) checkpoint_hook_(*this);
-      chunk_end_ = std::min(horizon_, sim.now() + kChunk);
+      chunk_end_ = std::min(horizon_, sim.now() + net::Network::kFlowChunk);
       in_chunk_ = true;
     }
     const std::size_t executed = sim.run(chunk_end_, remaining);

@@ -1,13 +1,12 @@
 // InstanceRun: one FlowInstance replay as a pausable object.
 //
-// run_instance() historically built the network, ran the chunked flow loop,
-// and assembled the RunResult in one call. InstanceRun splits that into
-// construction (create), incremental execution (advance, optionally capped
-// at an event count), and result assembly — which is what checkpointing
-// needs: src/snap serializes a paused run and reconstructs it in a fresh
-// process via create_shell + its restore accessors. The advance() loop
-// replicates Network::run_flows() chunk-for-chunk, so an uninterrupted
-// InstanceRun is bit-identical to the legacy path.
+// InstanceRun splits a replay into construction (create), incremental
+// execution (advance, optionally capped at an event count), and result
+// assembly — which is what checkpointing needs: src/snap serializes a
+// paused run and reconstructs it in a fresh process via create_shell + its
+// restore accessors. advance() runs the flow loop of Network::run_flows()
+// (same chunk length and stop test, Network::flow_loop_done) with the
+// chunk bookkeeping kept as state, so it can pause mid-chunk.
 //
 // Layering: exp knows nothing about snap. The checkpoint hook is a plain
 // callback fired at chunk boundaries (the only points where a run may be
@@ -36,8 +35,7 @@ class InstanceRun {
   static constexpr net::FlowId kMainFlowId = 1;
 
   /// Full construction: validate, build the network, warm up, start the
-  /// main flow (and options.extra_flows). Equivalent to the setup phase of
-  /// the legacy run_instance().
+  /// main flow (and options.extra_flows).
   static std::unique_ptr<InstanceRun> create(const FlowInstance& instance,
                                              const ScenarioParams& params,
                                              core::MobilityMode mode,
@@ -52,10 +50,10 @@ class InstanceRun {
       const FlowInstance& instance, const ScenarioParams& params,
       core::MobilityMode mode, const RunOptions& options = {});
 
-  /// Advances the run. With max_events == 0, runs to completion (legacy
-  /// behaviour) and returns true. With a cap, executes at most that many
-  /// simulator events and returns whether the run finished; a capped
-  /// return may pause mid-chunk and is resumed by the next call.
+  /// Advances the run. With max_events == 0, runs to completion and
+  /// returns true. With a cap, executes at most that many simulator
+  /// events and returns whether the run finished; a capped return may
+  /// pause mid-chunk and is resumed by the next call.
   bool advance(std::size_t max_events = 0);
 
   bool done() const { return done_; }
@@ -135,7 +133,6 @@ class InstanceRun {
   util::Joules warmup_consumed_{0.0};
   sim::Time flow_start_ = sim::Time::zero();
   sim::Time horizon_ = sim::Time::zero();
-  sim::Time stall_window_ = sim::Time::zero();
   sim::Time chunk_end_ = sim::Time::zero();
   bool in_chunk_ = false;
   bool done_ = false;

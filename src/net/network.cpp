@@ -273,6 +273,13 @@ bool Network::all_flows_complete() const {
                      [](const auto& kv) { return kv.second.completed; });
 }
 
+bool Network::flow_loop_done(sim::Time horizon,
+                             sim::Time stall_window) const {
+  return sim_.now() >= horizon || all_flows_complete() ||
+         (stop_on_first_death_ && first_death_time_.has_value()) ||
+         sim_.now() - last_progress_ > stall_window;
+}
+
 Seconds Network::run_flows(Seconds horizon_s, Seconds stall_window_s) {
   const sim::Time start = sim_.now();
   const sim::Time horizon =
@@ -281,14 +288,8 @@ Seconds Network::run_flows(Seconds horizon_s, Seconds stall_window_s) {
       sim::Time::from_seconds(stall_window_s.value());
   last_progress_ = sim_.now();
 
-  // Chunked execution: between chunks, check completion and stall.
-  const sim::Time chunk = sim::Time::from_seconds(5.0);
-  while (sim_.now() < horizon) {
-    if (all_flows_complete()) break;
-    if (stop_on_first_death_ && first_death_time_.has_value()) break;
-    if (sim_.now() - last_progress_ > stall_window) break;
-    const sim::Time next = std::min(horizon, sim_.now() + chunk);
-    sim_.run(next);
+  while (!flow_loop_done(horizon, stall_window)) {
+    sim_.run(std::min(horizon, sim_.now() + kFlowChunk));
     if (sim_.pending_events() == 0) break;
   }
   return Seconds{(sim_.now() - start).seconds()};

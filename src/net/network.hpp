@@ -128,11 +128,27 @@ class Network : public NetworkEvents, public sim::EventSink {
   std::vector<const FlowProgress*> all_progress() const;
   bool all_flows_complete() const;
 
+  /// The flow loop — run_flows() here and exp::InstanceRun::advance() —
+  /// runs the simulator in kFlowChunk slices and stops between slices
+  /// once flow_loop_done() holds. kStallWindow is the default stall
+  /// window.
+  static constexpr sim::Time kFlowChunk =
+      sim::Time::from_ticks(5 * sim::Time::kTicksPerSecond);
+  static constexpr sim::Time kStallWindow =
+      sim::Time::from_ticks(120 * sim::Time::kTicksPerSecond);
+
+  /// Between-slice stop test of the flow loop, checked in this order:
+  /// `horizon` reached, all flows complete, a first death under
+  /// stop_on_first_death, or no delivery progress for over `stall_window`.
+  bool flow_loop_done(sim::Time horizon,
+                      sim::Time stall_window = kStallWindow) const;
+
   /// Runs until all flows complete, no delivery progress occurs for
   /// `stall_window`, or `horizon` elapses — whichever is first.
   /// Returns simulated time elapsed during this call.
-  util::Seconds run_flows(util::Seconds horizon,
-                          util::Seconds stall_window = util::Seconds{120.0});
+  util::Seconds run_flows(
+      util::Seconds horizon,
+      util::Seconds stall_window = util::Seconds{kStallWindow.seconds()});
 
   /// Stops the event loop as soon as any node depletes (lifetime runs).
   void set_stop_on_first_death(bool stop) { stop_on_first_death_ = stop; }

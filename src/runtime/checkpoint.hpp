@@ -11,25 +11,19 @@
 //
 // Resuming (--resume) walks the same unit names: a .result short-circuits
 // the unit entirely, a .ckpt restores the paused run and finishes it, and
-// neither means the unit starts fresh. Because every unit is seeded
-// statelessly from (base seed, index) and a restored run replays the exact
-// event stream of the original, a killed-and-resumed sweep produces a
-// byte-identical report (wall_ms aside) at any worker count.
+// neither means the unit starts fresh. Because instance i is always
+// sampled from the i-th fork of Rng(seed) and a restored run replays the
+// exact event stream of the original, a killed-and-resumed sweep produces
+// a byte-identical report (wall_ms aside) at any worker count.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-
-#include "exp/instance_run.hpp"
-#include "exp/runner.hpp"
 
 namespace imobif::runtime {
 
 struct CheckpointOptions {
   /// Directory for <unit>.result / <unit>.ckpt files; empty disables
-  /// checkpointing entirely (the sweep takes its legacy in-memory path).
+  /// checkpointing entirely (units run in memory only).
   std::string dir;
 
   /// Reuse files found in `dir` instead of recomputing their units.
@@ -44,26 +38,11 @@ struct CheckpointOptions {
   /// from time or randomness.
   std::string scope;
 
-  /// Checkpoint cadence, forwarded to snap::CheckpointPolicy. Zero
-  /// disables the respective trigger; with both zero, only .result files
-  /// are written (checkpoint-on-completion only).
+  /// Simulated seconds between mid-flight snapshots (snap::Checkpointer).
+  /// Zero writes only the .result files (checkpoint-on-completion only).
   double every_sim_s = 30.0;
-  std::uint64_t every_delivered_packets = 0;
 
   bool enabled() const { return !dir.empty(); }
 };
-
-/// Runs one named unit under checkpoint control: short-circuits from
-/// <unit>.result, resumes from <unit>.ckpt, or starts fresh via
-/// `make_fresh`; periodically checkpoints while running; atomically writes
-/// the result file and removes the stale checkpoint on completion.
-/// Requires options.enabled().
-exp::RunResult run_checkpointed_unit(
-    const CheckpointOptions& options, const std::string& unit,
-    const std::function<std::unique_ptr<exp::InstanceRun>()>& make_fresh);
-
-/// Creates options.dir (and parents) if needed; call once per sweep
-/// before fanning units out. No-op when checkpointing is disabled.
-void prepare_checkpoint_dir(const CheckpointOptions& options);
 
 }  // namespace imobif::runtime

@@ -7,11 +7,11 @@
 
 namespace imobif::snap {
 
-Checkpointer::Checkpointer(std::string path, CheckpointPolicy policy)
-    : path_(std::move(path)), policy_(policy) {}
+Checkpointer::Checkpointer(std::string path, double every_sim_s)
+    : path_(std::move(path)), every_sim_s_(every_sim_s) {}
 
 void Checkpointer::install(exp::InstanceRun& run) {
-  if (!policy_.enabled()) return;
+  if (every_sim_s_ <= 0.0) return;
   run.set_checkpoint_hook(
       [this](exp::InstanceRun& r) { on_chunk_boundary(r); });
 }
@@ -20,27 +20,18 @@ void Checkpointer::write_now(exp::InstanceRun& run) {
   save(run, path_);
   ++written_;
   last_time_ = run.network().simulator().now();
-  last_delivered_ = run.network().medium().counters().delivered;
 }
 
 void Checkpointer::on_chunk_boundary(exp::InstanceRun& run) {
   const sim::Time now = run.network().simulator().now();
-  const std::uint64_t delivered =
-      run.network().medium().counters().delivered;
   if (!armed_) {
     // First boundary: baseline only, so a fresh run does not checkpoint
     // its (trivially re-creatable) initial state.
     armed_ = true;
     last_time_ = now;
-    last_delivered_ = delivered;
     return;
   }
-  const bool time_due = policy_.every_sim_s > 0.0 &&
-                        (now - last_time_).seconds() >= policy_.every_sim_s;
-  const bool packets_due =
-      policy_.every_delivered_packets > 0 &&
-      delivered - last_delivered_ >= policy_.every_delivered_packets;
-  if (time_due || packets_due) write_now(run);
+  if ((now - last_time_).seconds() >= every_sim_s_) write_now(run);
 }
 
 }  // namespace imobif::snap

@@ -2,10 +2,10 @@
 //
 // Hooks into InstanceRun's chunk-boundary callback (the only points where
 // a run can be suspended with no loop bookkeeping in flight) and saves a
-// snapshot whenever enough simulated time has passed or enough packets
-// have been delivered since the last write. Writes are atomic
-// (tmp + rename), so a process killed mid-checkpoint leaves the previous
-// snapshot intact — the crash-resume contract of the sweep engine.
+// snapshot whenever enough simulated time has passed since the last
+// write. Writes are atomic (tmp + rename), so a process killed
+// mid-checkpoint leaves the previous snapshot intact — the crash-resume
+// contract of the sweep driver.
 #pragma once
 
 #include <cstdint>
@@ -16,43 +16,29 @@
 
 namespace imobif::snap {
 
-struct CheckpointPolicy {
-  /// Snapshot when this much simulated time elapsed since the last write
-  /// (0 disables the time trigger).
-  double every_sim_s = 0.0;
-  /// Snapshot when this many packets were delivered (medium counter)
-  /// since the last write (0 disables the packet trigger).
-  std::uint64_t every_delivered_packets = 0;
-
-  bool enabled() const {
-    return every_sim_s > 0.0 || every_delivered_packets > 0;
-  }
-};
-
 // snap:transient(checkpoint driver machinery, not simulated run state)
 class Checkpointer {
  public:
-  Checkpointer(std::string path, CheckpointPolicy policy);
+  /// Snapshots to `path` once `every_sim_s` simulated seconds have passed
+  /// since the last write; zero never snapshots.
+  Checkpointer(std::string path, double every_sim_s);
 
   /// Installs the chunk-boundary hook on `run`. The first hook call only
-  /// baselines the triggers; writes start once a trigger fires relative
-  /// to that baseline. A disabled policy installs nothing.
+  /// baselines the clock; writes start once `every_sim_s` has passed
+  /// relative to that baseline. A zero cadence installs nothing.
   void install(exp::InstanceRun& run);
-
-  /// Snapshot `run` to the configured path right now, triggers aside.
-  void write_now(exp::InstanceRun& run);
 
   std::uint64_t checkpoints_written() const { return written_; }
   const std::string& path() const { return path_; }
 
  private:
   void on_chunk_boundary(exp::InstanceRun& run);
+  void write_now(exp::InstanceRun& run);
 
   std::string path_;
-  CheckpointPolicy policy_;
+  double every_sim_s_;
   bool armed_ = false;
   sim::Time last_time_ = sim::Time::zero();
-  std::uint64_t last_delivered_ = 0;
   std::uint64_t written_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "util/args.hpp"
 
+#include <charconv>
+#include <optional>
 #include <stdexcept>
 
 namespace imobif::util {
@@ -37,27 +39,41 @@ std::string Args::get_string(const std::string& key,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` as a T; nullopt on junk, trailing junk or range.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
+  const auto value = parse_whole<double>(it->second);
+  if (!value) {
     throw std::invalid_argument("Args: --" + key +
                                 " expects a number, got " + it->second);
   }
+  return *value;
 }
 
 std::int64_t Args::get_int(const std::string& key,
                            std::int64_t fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
+  const auto value = parse_whole<std::int64_t>(it->second);
+  if (!value) {
     throw std::invalid_argument("Args: --" + key +
                                 " expects an integer, got " + it->second);
   }
+  return *value;
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

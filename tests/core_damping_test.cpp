@@ -1,7 +1,7 @@
 // Notification-damping option of the destination evaluator.
 #include <gtest/gtest.h>
 
-#include "exp/experiments.hpp"
+#include "runtime/sweep.hpp"
 #include "test_helpers.hpp"
 
 namespace imobif::core {
@@ -111,7 +111,7 @@ TEST(NotificationDamping, EndToEndRateBoundHolds) {
   p.seed = 21;
   p.notification_min_gap = 8;
 
-  const auto points = exp::run_comparison(p, 4);
+  const auto points = runtime::run_comparison_parallel(p, 4);
   for (const auto& pt : points) {
     EXPECT_TRUE(pt.informed.completed);
     const double packets = std::ceil(pt.flow_bits / p.packet_bits);

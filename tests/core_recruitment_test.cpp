@@ -2,7 +2,7 @@
 // inviting an idle neighbor into the flow path.
 #include <gtest/gtest.h>
 
-#include "exp/experiments.hpp"
+#include "runtime/sweep.hpp"
 #include "test_helpers.hpp"
 
 namespace imobif::core {
@@ -105,7 +105,7 @@ TEST(Recruitment, WorksThroughScenarioKnob) {
   p.mean_flow_bits = util::Bits{2.0 * 1024.0 * 1024.0 * 8.0};
   p.recruit_margin = 1.2;
   p.seed = 8;
-  const auto points = exp::run_comparison(p, 3);
+  const auto points = runtime::run_comparison_parallel(p, 3);
   for (const auto& pt : points) {
     EXPECT_TRUE(pt.informed.completed);
     // Safety: recruitment never makes iMobif materially worse.

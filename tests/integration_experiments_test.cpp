@@ -2,7 +2,7 @@
 // and the qualitative invariants behind the paper's figures.
 #include <gtest/gtest.h>
 
-#include "exp/experiments.hpp"
+#include "runtime/sweep.hpp"
 
 namespace imobif::exp {
 namespace {
@@ -117,7 +117,7 @@ TEST(RunComparison, InformedNeverMateriallyWorse) {
   // never materially above the no-mobility baseline (only notification
   // packets can add a sliver).
   ScenarioParams p = small_params();
-  const auto points = run_comparison(p, 6);
+  const auto points = runtime::run_comparison_parallel(p, 6);
   ASSERT_EQ(points.size(), 6u);
   for (const auto& pt : points) {
     EXPECT_TRUE(pt.baseline.completed);
@@ -131,7 +131,7 @@ TEST(RunComparison, ShortFlowsMakeCostUnawareExpensive) {
   // energy than the static baseline on average.
   ScenarioParams p = small_params();
   p.mean_flow_bits = util::Bits{50.0 * 1024.0 * 8.0};
-  const auto points = run_comparison(p, 6);
+  const auto points = runtime::run_comparison_parallel(p, 6);
   double ratio_sum = 0.0;
   for (const auto& pt : points) ratio_sum += pt.energy_ratio_cost_unaware();
   EXPECT_GT(ratio_sum / 6.0, 1.5);
@@ -139,8 +139,8 @@ TEST(RunComparison, ShortFlowsMakeCostUnawareExpensive) {
 
 TEST(RunComparison, DeterministicAcrossCalls) {
   ScenarioParams p = small_params();
-  const auto a = run_comparison(p, 3);
-  const auto b = run_comparison(p, 3);
+  const auto a = runtime::run_comparison_parallel(p, 3);
+  const auto b = runtime::run_comparison_parallel(p, 3);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(a[i].flow_bits.value(), b[i].flow_bits.value());
     EXPECT_DOUBLE_EQ(a[i].informed.total_energy_j.value(),
@@ -159,7 +159,7 @@ TEST(RunComparison, LifetimeRunsRecordDeaths) {
   p.mean_flow_bits = util::Bits{1024.0 * 1024.0 * 8.0};
   RunOptions opt;
   opt.stop_on_first_death = true;
-  const auto points = run_comparison(p, 3, opt);
+  const auto points = runtime::run_comparison_parallel(p, 3, opt);
   int deaths = 0;
   for (const auto& pt : points) {
     if (pt.baseline.any_death) ++deaths;

@@ -9,7 +9,7 @@
 //   4. replays are bit-deterministic.
 #include <gtest/gtest.h>
 
-#include "exp/experiments.hpp"
+#include "runtime/sweep.hpp"
 
 namespace imobif::exp {
 namespace {
@@ -27,7 +27,7 @@ ScenarioParams scenario(std::uint64_t seed) {
 class SafetyAcrossSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SafetyAcrossSeeds, InformedEnergyNeverMateriallyWorse) {
-  const auto points = run_comparison(scenario(GetParam()), 3);
+  const auto points = runtime::run_comparison_parallel(scenario(GetParam()), 3);
   for (const auto& pt : points) {
     ASSERT_TRUE(pt.baseline.completed);
     ASSERT_TRUE(pt.informed.completed);
@@ -39,7 +39,7 @@ TEST_P(SafetyAcrossSeeds, InformedEnergyNeverMateriallyWorse) {
 TEST_P(SafetyAcrossSeeds, PaperLocalEstimatorAlsoSafe) {
   ScenarioParams p = scenario(GetParam());
   p.paper_local_estimator = true;
-  const auto points = run_comparison(p, 3);
+  const auto points = runtime::run_comparison_parallel(p, 3);
   for (const auto& pt : points) {
     EXPECT_LE(pt.energy_ratio_informed(), 1.02);
   }
@@ -58,7 +58,7 @@ TEST_P(SafetyAcrossSeeds, LifetimeMostlyPreservedOrImproved) {
   p.mean_flow_bits = util::Bits{1024.0 * 1024.0 * 8.0};
   RunOptions opt;
   opt.stop_on_first_death = true;
-  const auto points = run_comparison(p, 3, opt);
+  const auto points = runtime::run_comparison_parallel(p, 3, opt);
   int near_or_above = 0;
   double sum = 0.0;
   for (const auto& pt : points) {
@@ -72,8 +72,8 @@ TEST_P(SafetyAcrossSeeds, LifetimeMostlyPreservedOrImproved) {
 }
 
 TEST_P(SafetyAcrossSeeds, DeterministicReplay) {
-  const auto a = run_comparison(scenario(GetParam()), 2);
-  const auto b = run_comparison(scenario(GetParam()), 2);
+  const auto a = runtime::run_comparison_parallel(scenario(GetParam()), 2);
+  const auto b = runtime::run_comparison_parallel(scenario(GetParam()), 2);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].informed.total_energy_j.value(),
                      b[i].informed.total_energy_j.value());
@@ -84,7 +84,7 @@ TEST_P(SafetyAcrossSeeds, DeterministicReplay) {
 }
 
 TEST_P(SafetyAcrossSeeds, EnergyDecompositionConsistent) {
-  const auto points = run_comparison(scenario(GetParam()), 2);
+  const auto points = runtime::run_comparison_parallel(scenario(GetParam()), 2);
   for (const auto& pt : points) {
     for (const RunResult* run :
          {&pt.baseline, &pt.cost_unaware, &pt.informed}) {

@@ -1,4 +1,4 @@
-// Crash-resumable sweeps: a checkpointed sweep's outcomes are
+// Crash-resumable sweeps: a checkpointed run_comparison_parallel is
 // bit-identical to an uncheckpointed one, --resume short-circuits from
 // .result files, picks a mid-flight .ckpt back up exactly, and the whole
 // contract holds at any worker count.
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exp/instance.hpp"
+#include "exp/instance_run.hpp"
 #include "runtime/sweep.hpp"
 #include "snap/result_io.hpp"
 #include "snap/snapshot.hpp"
@@ -41,85 +42,68 @@ std::filesystem::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-TEST(RuntimeCheckpoint, CheckpointedSweepMatchesPlainSweep) {
-  std::vector<SweepJob> jobs;
-  for (std::uint64_t s : {11u, 12u, 13u}) {
-    SweepJob job;
-    job.params = sweep_params(s);
-    jobs.push_back(job);
-  }
+const char* const kModeUnits[] = {"baseline", "cost_unaware", "informed"};
 
-  const SweepEngine engine(2);
-  const std::vector<SweepOutcome> plain = engine.run(jobs, 5);
+TEST(RuntimeCheckpoint, CheckpointedSweepMatchesPlainSweep) {
+  const exp::ScenarioParams params = sweep_params(11);
+  const std::size_t kInstances = 3;
+  const std::vector<exp::ComparisonPoint> plain =
+      run_comparison_parallel(params, kInstances, {}, 2);
 
   const auto dir = scratch_dir("rt_ckpt_plain");
   CheckpointOptions checkpoint;
   checkpoint.dir = dir.string();
   checkpoint.every_sim_s = 15.0;
-  const std::vector<SweepOutcome> checked = engine.run(jobs, 5, checkpoint);
+  const std::vector<exp::ComparisonPoint> checked =
+      run_comparison_parallel(params, kInstances, {}, 2, checkpoint);
 
   ASSERT_EQ(plain.size(), checked.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].seed, checked[i].seed);
-    EXPECT_EQ(json(plain[i].result), json(checked[i].result));
-    EXPECT_TRUE(std::filesystem::exists(
-        dir / ("job-" + std::to_string(i) + ".result")));
-    // Finished units keep only their .result.
-    EXPECT_FALSE(std::filesystem::exists(
-        dir / ("job-" + std::to_string(i) + ".ckpt")));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(RuntimeCheckpoint, ResumeShortCircuitsFromResultFiles) {
-  std::vector<SweepJob> jobs(2);
-  jobs[0].params = sweep_params(21);
-  jobs[1].params = sweep_params(22);
-
-  const auto dir = scratch_dir("rt_ckpt_resume");
-  CheckpointOptions checkpoint;
-  checkpoint.dir = dir.string();
-  const SweepEngine engine(1);
-  const std::vector<SweepOutcome> first = engine.run(jobs, 9, checkpoint);
-
-  checkpoint.resume = true;
-  const std::vector<SweepOutcome> second = engine.run(jobs, 9, checkpoint);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(json(first[i].result), json(second[i].result));
+    EXPECT_EQ(json(plain[i].baseline), json(checked[i].baseline));
+    EXPECT_EQ(json(plain[i].cost_unaware), json(checked[i].cost_unaware));
+    EXPECT_EQ(json(plain[i].informed), json(checked[i].informed));
+    for (const char* mode : kModeUnits) {
+      const std::string stem = "cmp-" + std::to_string(i) + "-" + mode;
+      EXPECT_TRUE(std::filesystem::exists(dir / (stem + ".result")));
+      // Finished units keep only their .result.
+      EXPECT_FALSE(std::filesystem::exists(dir / (stem + ".ckpt")));
+    }
   }
   std::filesystem::remove_all(dir);
 }
 
 TEST(RuntimeCheckpoint, ResumePicksUpMidFlightCheckpoint) {
-  SweepJob job;
-  job.params = sweep_params(31);
-  const std::vector<SweepJob> jobs{job};
-  const SweepEngine engine(1);
-  const std::vector<SweepOutcome> reference = engine.run(jobs, 4);
+  // A long flow, so that 1200 events stop the informed run mid-flight.
+  exp::ScenarioParams params = sweep_params(31);
+  params.mean_flow_bits *= 4.0;
+  const std::vector<exp::ComparisonPoint> reference =
+      run_comparison_parallel(params, 1);
 
-  // Simulate a kill: run job 0 partway by hand and leave only its .ckpt
-  // behind, exactly as a SIGKILLed sweep would.
+  // Simulate a kill: run instance 0's informed unit partway by hand, from
+  // the first fork of Rng(seed), and leave only its .ckpt behind, exactly
+  // as a SIGKILLed sweep would.
   const auto dir = scratch_dir("rt_ckpt_kill");
+  const std::filesystem::path ckpt = dir / "cmp-0-informed.ckpt";
   {
-    const std::uint64_t seed = derive_seed(4, 0);
-    util::Rng rng(seed);
-    const exp::FlowInstance instance = exp::sample_instance(job.params, rng);
-    auto run = exp::InstanceRun::create(instance, job.params, job.mode,
-                                        job.options);
+    util::Rng rng = util::Rng(params.seed).fork();
+    const exp::FlowInstance instance = exp::sample_instance(params, rng);
+    auto run = exp::InstanceRun::create(instance, params,
+                                        core::MobilityMode::kInformed);
     run->set_sampler_rng_state(rng.state());
     run->advance(1200);
     ASSERT_FALSE(run->done());
-    snap::save(*run, (dir / "job-0.ckpt").string());
+    snap::save(*run, ckpt.string());
   }
 
   CheckpointOptions checkpoint;
   checkpoint.dir = dir.string();
   checkpoint.resume = true;
-  const std::vector<SweepOutcome> resumed = engine.run(jobs, 4, checkpoint);
+  const std::vector<exp::ComparisonPoint> resumed =
+      run_comparison_parallel(params, 1, {}, 1, checkpoint);
   ASSERT_EQ(resumed.size(), 1u);
-  EXPECT_EQ(json(resumed[0].result), json(reference[0].result));
-  EXPECT_EQ(resumed[0].seed, reference[0].seed);
+  EXPECT_EQ(json(resumed[0].informed), json(reference[0].informed));
+  EXPECT_EQ(json(resumed[0].baseline), json(reference[0].baseline));
+  EXPECT_FALSE(std::filesystem::exists(ckpt));  // consumed, then removed
   std::filesystem::remove_all(dir);
 }
 

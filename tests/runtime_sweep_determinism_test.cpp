@@ -1,13 +1,14 @@
-// SweepEngine / run_comparison_parallel: results must be bit-identical
-// regardless of worker count, and the parallel comparison must match the
-// sequential exp::run_comparison exactly.
+// run_comparison_parallel: results must be bit-identical regardless of
+// worker count, and instance i must be the i-th fork of Rng(seed) replayed
+// under each mode.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "exp/experiments.hpp"
+#include "exp/instance.hpp"
 #include "runtime/report.hpp"
 #include "runtime/sweep.hpp"
+#include "util/rng.hpp"
 
 namespace imobif::runtime {
 namespace {
@@ -62,32 +63,9 @@ TEST(DeriveSeed, StatelessAndIndexSensitive) {
   EXPECT_NE(derive_seed(123, 0), derive_seed(123, 1));
   EXPECT_NE(derive_seed(123, 0), derive_seed(124, 0));
   // Adjacent (base, index) pairs that sum equally collide by construction
-  // of splitmix64(base + index); sweeps use one base, so only index
+  // of splitmix64(base + index); callers use one base, so only index
   // variation matters.
   EXPECT_EQ(derive_seed(10, 5), derive_seed(11, 4));
-}
-
-TEST(SweepEngine, WorkerCountDoesNotChangeOutcomes) {
-  std::vector<SweepJob> jobs;
-  for (int i = 0; i < 6; ++i) {
-    SweepJob job;
-    job.params = small_params();
-    job.mode = (i % 2 == 0) ? core::MobilityMode::kInformed
-                            : core::MobilityMode::kCostUnaware;
-    jobs.push_back(job);
-  }
-
-  const auto serial = SweepEngine(1).run(jobs, 99);
-  const auto parallel = SweepEngine(4).run(jobs, 99);
-  ASSERT_EQ(serial.size(), jobs.size());
-  ASSERT_EQ(parallel.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(serial[i].seed, derive_seed(99, i));
-    EXPECT_EQ(serial[i].seed, parallel[i].seed);
-    EXPECT_EQ(serial[i].flow_bits, parallel[i].flow_bits);
-    EXPECT_EQ(serial[i].hops, parallel[i].hops);
-    expect_same_run(serial[i].result, parallel[i].result);
-  }
 }
 
 TEST(RunComparisonParallel, JobCountsProduceIdenticalPoints) {
@@ -111,13 +89,25 @@ TEST(RunComparisonParallel, MatchesSequentialRunComparison) {
   const exp::ScenarioParams p = small_params();
   const std::size_t kInstances = 4;
 
-  const auto sequential = exp::run_comparison(p, kInstances);
   const auto parallel = run_comparison_parallel(p, kInstances, {}, 3);
-  ASSERT_EQ(sequential.size(), parallel.size());
+  ASSERT_EQ(parallel.size(), kInstances);
+  // Reference, one instance at a time on this thread: instance i is
+  // sampled from the i-th fork of Rng(seed) and replayed under each mode.
+  util::Rng root(p.seed);
   for (std::size_t i = 0; i < kInstances; ++i) {
-    EXPECT_EQ(sequential[i].flow_bits, parallel[i].flow_bits);
-    expect_same_run(sequential[i].baseline, parallel[i].baseline);
-    expect_same_run(sequential[i].informed, parallel[i].informed);
+    util::Rng rng = root.fork();
+    const exp::FlowInstance instance = exp::sample_instance(p, rng);
+    EXPECT_EQ(instance.flow_bits, parallel[i].flow_bits);
+    EXPECT_EQ(instance.initial_path.size() - 1, parallel[i].hops);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kNoMobility),
+        parallel[i].baseline);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kCostUnaware),
+        parallel[i].cost_unaware);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kInformed),
+        parallel[i].informed);
   }
 }
 

@@ -202,9 +202,7 @@ TEST(SnapCheckpoint, CheckpointerWritesAtChunkBoundaries) {
                                       core::MobilityMode::kInformed, {});
 
   const std::string path = ::testing::TempDir() + "snap_checkpointer.ckpt";
-  CheckpointPolicy policy;
-  policy.every_sim_s = 20.0;
-  Checkpointer checkpointer(path, policy);
+  Checkpointer checkpointer(path, /*every_sim_s=*/20.0);
   checkpointer.install(*run);
   EXPECT_TRUE(run->advance());
   EXPECT_GE(checkpointer.checkpoints_written(), 1u);

@@ -60,6 +60,13 @@ TEST(Args, TypeErrorsThrow) {
   EXPECT_THROW(a.get_double("k", 0.0), std::invalid_argument);
   EXPECT_THROW(a.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(a.get_bool("b"), std::invalid_argument);
+
+  // Trailing junk is an error, not a silently truncated value.
+  const Args junk =
+      parse({"prog", "--jobs", "4x", "--loss", "0.2abc", "--seed", "12.9"});
+  EXPECT_THROW(junk.get_int("jobs", 0), std::invalid_argument);
+  EXPECT_THROW(junk.get_double("loss", 0.0), std::invalid_argument);
+  EXPECT_THROW(junk.get_int("seed", 0), std::invalid_argument);
 }
 
 TEST(Args, FallbacksForAbsentKeys) {
