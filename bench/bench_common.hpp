@@ -144,16 +144,8 @@ struct FaultCounters {
   std::uint64_t notifications_applied = 0;
 
   void add(const exp::RunResult& run) {
-    medium.broadcasts += run.medium.broadcasts;
-    medium.unicasts += run.medium.unicasts;
-    medium.delivered += run.medium.delivered;
-    medium.dropped_out_of_range += run.medium.dropped_out_of_range;
-    medium.dropped_dead += run.medium.dropped_dead;
-    medium.dropped_unknown += run.medium.dropped_unknown;
-    medium.dropped_injected += run.medium.dropped_injected;
-    medium.dropped_faulted += run.medium.dropped_faulted;
-    notify_retries += run.notify_retries;
-    notifications_applied += run.notifications_applied;
+    add(FaultCounters{run.medium, run.notify_retries,
+                      run.notifications_applied});
   }
 
   void add(const std::vector<exp::ComparisonPoint>& points) {

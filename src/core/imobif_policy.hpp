@@ -98,7 +98,6 @@ class ImobifPolicy : public net::MobilityPolicy {
   /// packet and re-pins its next hop to the invitee.
   void enable_recruitment(double margin = 1.2,
                           std::uint32_t check_period_packets = 64);
-  void disable_recruitment() { recruitment_enabled_ = false; }
   bool recruitment_enabled() const { return recruitment_enabled_; }
   std::uint64_t recruits_initiated() const { return recruits_initiated_; }
 

@@ -55,14 +55,4 @@ void Battery::restore(Joules initial, Joules residual, Joules consumed_tx,
   consumed_other_ = consumed_other;
 }
 
-void Battery::recharge(Joules initial) {
-  IMOBIF_ENSURE(util::isfinite(initial), "battery charge must be finite");
-  if (initial < Joules{0.0}) {
-    throw std::invalid_argument("Battery: negative recharge");
-  }
-  initial_ = initial;
-  res() = initial;
-  consumed_transmit_ = consumed_move_ = consumed_other_ = Joules{0.0};
-}
-
 }  // namespace imobif::energy

@@ -39,9 +39,6 @@ class Battery {
   /// requested only when the battery empties).
   util::Joules draw(util::Joules amount, DrawKind kind);
 
-  /// True when the battery currently holds at least `amount`.
-  bool can_afford(util::Joules amount) const { return res() >= amount; }
-
   util::Joules consumed_total() const { return initial_ - res(); }
   util::Joules consumed_transmit() const { return consumed_transmit_; }
   util::Joules consumed_move() const { return consumed_move_; }
@@ -51,9 +48,6 @@ class Battery {
   void set_depletion_callback(std::function<void()> cb) {
     on_depleted_ = std::move(cb);
   }
-
-  /// Experiment support: reset to a new initial charge (keeps callback).
-  void recharge(util::Joules initial);
 
   /// Checkpoint restore: overwrite the full accounting state (keeps the
   /// callback, never re-fires it — a battery restored as depleted already

@@ -1,6 +1,5 @@
 #include "energy/mobility_model.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -30,16 +29,6 @@ Joules MobilityEnergyModel::move_energy(Meters distance) const {
   const Joules energy{params_.k * distance.value()};
   IMOBIF_ASSERT(util::isfinite(energy), "move energy overflowed to non-finite");
   return energy;
-}
-
-Meters MobilityEnergyModel::range_for_energy(Joules energy) const {
-  // Exact sentinel: k is a configured constant, not a computed quantity.
-  if (energy <= Joules{0.0} || params_.k == 0.0) {  // lint:allow(float-equality)
-    return energy <= Joules{0.0}
-               ? Meters{0.0}
-               : Meters{std::numeric_limits<double>::infinity()};
-  }
-  return Meters{energy.value() / params_.k};
 }
 
 }  // namespace imobif::energy

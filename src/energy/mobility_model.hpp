@@ -29,9 +29,6 @@ class MobilityEnergyModel {
   /// E_M(d): energy to move `distance` meters.
   util::Joules move_energy(util::Meters distance) const;
 
-  /// Distance movable with `energy` joules.
-  util::Meters range_for_energy(util::Joules energy) const;
-
   /// The per-meter movement cost k as a typed quantity.
   util::JoulesPerMeter cost_per_meter() const {
     return util::JoulesPerMeter{params_.k};

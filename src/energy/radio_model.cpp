@@ -65,10 +65,4 @@ Joules RadioEnergyModel::receive_energy(Bits bits) const {
   return energy;
 }
 
-Meters RadioEnergyModel::range_for_power(JoulesPerBit power) const {
-  if (power.value() <= params_.a) return Meters{0.0};
-  return Meters{std::pow((power.value() - params_.a) / params_.b,
-                         1.0 / params_.alpha)};
-}
-
 }  // namespace imobif::energy

@@ -52,9 +52,6 @@ class RadioEnergyModel {
   util::Bits sustainable_bits(util::Meters distance,
                               util::Joules energy) const;
 
-  /// Largest distance reachable with per-bit power `power` (inverse of P).
-  util::Meters range_for_power(util::JoulesPerBit power) const;
-
   /// Energy drawn by a receiver for `bits` received bits (0 in the paper's
   /// sender-pays model).
   util::Joules receive_energy(util::Bits bits) const;

@@ -1,6 +1,7 @@
 #include "exp/scenario_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <iterator>
 #include <sstream>
@@ -16,6 +17,29 @@ namespace {
 // round trip (to_config_string -> apply_config) must be lossless because
 // snapshots embed the scenario through it (src/snap).
 std::string num(double v) { return util::Json::number_to_string(v); }
+
+// Parses base-10 digits into exactly T: a sign, junk or a value T cannot
+// hold throws naming `key` instead of wrapping or truncating. Every
+// unsigned key goes through here, so any value to_config_string writes
+// (up to 2^64 - 1 for the seeds) reads back.
+template <typename T>
+T parse_unsigned(std::string_view text, const std::string& key) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("scenario key '" + key +
+                                "' expects an unsigned integer, got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
+
+template <typename T>
+void read_unsigned(const util::Config& config, const std::string& key,
+                   T& field) {
+  if (config.has(key)) field = parse_unsigned<T>(config.get_string(key), key);
+}
 
 // Every key apply_config reads. Anything else in a config is a typo or an
 // option meant for someone else, and apply_config rejects it rather than
@@ -84,9 +108,13 @@ std::vector<net::FaultPlan::CrashEvent> parse_crashes(
       throw std::invalid_argument(
           "parse_crashes: expected node:at_s:duration_s, got '" + item + "'");
     }
+    // Items may be padded (", 3:10:5"); the id itself must be bare digits.
+    std::string_view node = std::string_view(item).substr(0, c1);
+    node.remove_prefix(std::min(node.find_first_not_of(" \t"), node.size()));
+    node = node.substr(0, node.find_last_not_of(" \t") + 1);
+    net::FaultPlan::CrashEvent crash;
+    crash.node = parse_unsigned<net::NodeId>(node, "crashes");
     try {
-      net::FaultPlan::CrashEvent crash;
-      crash.node = static_cast<net::NodeId>(std::stoul(item.substr(0, c1)));
       crash.at_s = std::stod(item.substr(c1 + 1, c2 - c1 - 1));
       crash.duration_s = std::stod(item.substr(c2 + 1));
       out.push_back(crash);
@@ -114,13 +142,10 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
   using util::Meters;
   using util::Seconds;
   params.area_m = Meters{config.get_double("area_m", params.area_m.value())};
-  params.node_count = static_cast<std::size_t>(
-      config.get_int("node_count",
-                     static_cast<std::int64_t>(params.node_count)));
+  read_unsigned(config, "node_count", params.node_count);
   params.comm_range_m =
       Meters{config.get_double("comm_range_m", params.comm_range_m.value())};
-  params.min_hops = static_cast<std::size_t>(
-      config.get_int("min_hops", static_cast<std::int64_t>(params.min_hops)));
+  read_unsigned(config, "min_hops", params.min_hops);
 
   params.radio.a = config.get_double("radio_a", params.radio.a);
   params.radio.b = config.get_double("radio_b", params.radio.b);
@@ -178,9 +203,7 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
       "paper_local_estimator", params.paper_local_estimator);
   params.exact_lifetime_split = config.get_bool(
       "exact_lifetime_split", params.exact_lifetime_split);
-  params.notification_min_gap = static_cast<std::uint32_t>(config.get_int(
-      "notification_min_gap",
-      static_cast<std::int64_t>(params.notification_min_gap)));
+  read_unsigned(config, "notification_min_gap", params.notification_min_gap);
   params.recruit_margin =
       config.get_double("recruit_margin", params.recruit_margin);
   params.multi_flow_blending =
@@ -197,13 +220,11 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
   params.fault.loss_good =
       config.get_double("loss_good", params.fault.loss_good);
   params.fault.loss_bad = config.get_double("loss_bad", params.fault.loss_bad);
-  params.fault.seed = static_cast<std::uint64_t>(config.get_int(
-      "fault_seed", static_cast<std::int64_t>(params.fault.seed)));
+  read_unsigned(config, "fault_seed", params.fault.seed);
   if (config.has("crashes")) {
     params.fault.crashes = parse_crashes(config.get_string("crashes"));
   }
-  params.notify_retry_cap = static_cast<std::uint32_t>(config.get_int(
-      "notify_retry_cap", static_cast<std::int64_t>(params.notify_retry_cap)));
+  read_unsigned(config, "notify_retry_cap", params.notify_retry_cap);
   params.notify_retry_timeout_s = Seconds{config.get_double(
       "notify_retry_timeout_s", params.notify_retry_timeout_s.value())};
 
@@ -228,9 +249,7 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
       "mobility.gm_speed_sigma_mps", params.mob.gm_speed_sigma.value())};
   params.mob.gm_dir_sigma_rad = config.get_double(
       "mobility.gm_dir_sigma_rad", params.mob.gm_dir_sigma_rad);
-  params.mob.group_count = static_cast<std::size_t>(
-      config.get_int("mobility.group_count",
-                     static_cast<std::int64_t>(params.mob.group_count)));
+  read_unsigned(config, "mobility.group_count", params.mob.group_count);
   params.mob.group_radius_m = Meters{config.get_double(
       "mobility.group_radius_m", params.mob.group_radius_m.value())};
   if (config.has("mobility.trace_file")) {
@@ -250,8 +269,7 @@ void apply_config(const util::Config& config, ScenarioParams& params) {
   params.traffic.pareto_shape = config.get_double(
       "traffic.pareto_shape", params.traffic.pareto_shape);
 
-  params.seed = static_cast<std::uint64_t>(
-      config.get_int("seed", static_cast<std::int64_t>(params.seed)));
+  read_unsigned(config, "seed", params.seed);
 }
 
 std::string to_config_string(const ScenarioParams& p) {

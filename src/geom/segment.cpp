@@ -20,15 +20,6 @@ Vec2 step_towards(Vec2 from, Vec2 to, double max_step) {
   return from + (to - from) * (max_step / d);
 }
 
-double max_offline_distance(const Segment& seg, const Vec2* points,
-                            std::size_t count) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    worst = std::max(worst, seg.distance_to(points[i]));
-  }
-  return worst;
-}
-
 double polyline_length(const Vec2* points, std::size_t count) {
   double length = 0.0;
   for (std::size_t i = 0; i + 1 < count; ++i) {

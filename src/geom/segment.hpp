@@ -29,11 +29,6 @@ struct Segment {
 /// Returns `to` itself when it is within reach.
 Vec2 step_towards(Vec2 from, Vec2 to, double max_step);
 
-/// Maximum distance of any of the points to the segment — used by tests and
-/// benches to verify the "relays converge onto the flow line" property.
-double max_offline_distance(const Segment& seg, const Vec2* points,
-                            std::size_t count);
-
 /// Total length of the polyline through the given points (0 for fewer
 /// than two points).
 double polyline_length(const Vec2* points, std::size_t count);

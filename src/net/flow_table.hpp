@@ -74,15 +74,6 @@ class FlowTable {
 
   std::vector<const FlowEntry*> all() const;
 
-  /// Visits every entry without allocating (hash-map order; use only for
-  /// order-insensitive folds like the NodeStore aggregate roll-up).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    // Callers are order-insensitive folds by contract (doc comment above).
-    // astlint:allow(unordered-iteration): contract-order-insensitive fold
-    for (const auto& [id, entry] : entries_) fn(entry);
-  }
-
  private:
   // snap:derived(ensure)
   std::unordered_map<FlowId, FlowEntry> entries_;

@@ -64,16 +64,6 @@ void GridIndex::update(Id id, geom::Vec2 new_position) {
   it->second = new_key;
 }
 
-void GridIndex::remove(Id id) {
-  const auto it = where_.find(id);
-  if (it == where_.end()) return;
-  auto& bucket = buckets_[it->second];
-  bucket.erase(std::find_if(bucket.begin(), bucket.end(),
-                            [id](const Slot& s) { return s.id == id; }));
-  if (bucket.empty()) buckets_.erase(it->second);
-  where_.erase(it);
-}
-
 std::vector<GridIndex::Id> GridIndex::query(geom::Vec2 center,
                                             double radius) const {
   std::vector<Id> out;

@@ -38,9 +38,6 @@ class GridIndex {
   /// Moves an existing id; cheap when the cell does not change.
   void update(Id id, geom::Vec2 new_position);
 
-  /// Removes an id; no-op when absent.
-  void remove(Id id);
-
   std::size_t size() const { return where_.size(); }
   bool contains(Id id) const { return where_.count(id) != 0; }
   double cell_size() const { return cell_size_; }

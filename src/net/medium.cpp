@@ -28,8 +28,8 @@ void Medium::attach(Node& node) {
 }
 
 void Medium::node_moved(NodeId id, geom::Vec2 new_position) {
-  // Nodes not (yet) attached to this medium are ignored: tests construct
-  // free-standing nodes, and attach() will index the final position.
+  // Nodes not (yet) attached to this medium are ignored: a node may move
+  // between construction and attach(), which indexes its final position.
   if (find_node(id) != nullptr) index_.update(id, new_position);
 }
 

@@ -110,7 +110,6 @@ void Network::start_flow(const FlowSpec& spec) {
   entry.strategy = spec.strategy;
   entry.residual_bits = spec.length_bits;
   entry.mobility_enabled = spec.initially_enabled;
-  src.sync_flow_aggregate();
 
   if (config_.traffic.enabled()) {
     // Per-flow generator stream forked from the instance's traffic seed:

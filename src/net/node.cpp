@@ -47,7 +47,6 @@ void NetworkEvents::on_recruited(Node&, const RecruitBody&) {}
 Node::Node(NodeId id, geom::Vec2 position, Joules initial_energy,
            Services services, NodeConfig config)
     : id_(id),
-      position_(position),
       battery_(initial_energy),
       neighbors_(config.neighbor_timeout),
       services_(services),
@@ -56,13 +55,13 @@ Node::Node(NodeId id, geom::Vec2 position, Joules initial_energy,
       services_.radio == nullptr) {
     throw std::invalid_argument("Node: sim, medium and radio are required");
   }
-  pos_cell_ = &position_;
-  if (services_.store != nullptr && services_.store->has(id_)) {
-    pos_cell_ = services_.store->position_cell(id_);
-    *pos_cell_ = position;
-    battery_.bind_residual_cell(services_.store->residual_cell(id_));
-    flow_cell_ = services_.store->flow_cell(id_);
+  if (services_.store == nullptr || !services_.store->has(id_)) {
+    throw std::invalid_argument("Node: a NodeStore slot for the id is "
+                                "required");
   }
+  pos_cell_ = services_.store->position_cell(id_);
+  *pos_cell_ = position;
+  battery_.bind_residual_cell(services_.store->residual_cell(id_));
   battery_.set_depletion_callback([this] {
     stop_hello();
     if (services_.events != nullptr) services_.events->on_node_depleted(*this);
@@ -233,7 +232,6 @@ bool Node::originate_data(DataBody data) {
   entry.destination = data.destination;
   entry.strategy = data.strategy;
   entry.residual_bits = data.residual_flow_bits;
-  sync_flow_aggregate();
 
   if (entry.next == kInvalidNode && services_.routing != nullptr) {
     entry.next = services_.routing->next_hop(*this, data.destination);
@@ -317,7 +315,6 @@ void Node::handle_recruit(const RecruitBody& body) {
   entry.strategy = body.strategy;
   entry.residual_bits = body.residual_flow_bits;
   entry.mobility_enabled = body.mobility_enabled;
-  sync_flow_aggregate();
   if (services_.events != nullptr) {
     services_.events->on_recruited(*this, body);
   }
@@ -342,7 +339,6 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
   entry.prev = from.id;
   entry.strategy = data.strategy;
   entry.residual_bits = data.residual_flow_bits;
-  sync_flow_aggregate();
 
   if (data.destination == id_) {
     // Figure 1, lines 7-11: deliver and run UpdateMobilityStatus.
@@ -378,7 +374,6 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
     return;
   }
   ++entry.packets_relayed;
-  if (flow_cell_ != nullptr) ++flow_cell_->packets_relayed;
   if (services_.policy != nullptr) {
     services_.policy->on_relay(*this, data, entry);
   }
@@ -510,15 +505,6 @@ void Node::adopt_event(const sim::EventTag& tag, sim::EventId id) {
   } else if (tag.kind == sim::EventTag::Kind::kNotifyRetry) {
     flows_.ensure(static_cast<FlowId>(tag.b)).notify_retry_event = id;
   }
-}
-
-void Node::sync_flow_aggregate() {
-  if (flow_cell_ == nullptr) return;
-  flow_cell_->active_flows = static_cast<std::uint32_t>(flows_.size());
-  std::uint64_t relayed = 0;
-  flows_.for_each(
-      [&relayed](const FlowEntry& entry) { relayed += entry.packets_relayed; });
-  flow_cell_->packets_relayed = relayed;
 }
 
 void Node::cancel_notify_retry(FlowEntry& entry) {

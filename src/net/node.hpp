@@ -93,10 +93,9 @@ class Node {
     RoutingProtocol* routing = nullptr;
     MobilityPolicy* policy = nullptr;
     NetworkEvents* events = nullptr;
-    /// Struct-of-arrays hot-state store (DESIGN.md §12). When set and
-    /// holding a slot for this node's id, position and residual energy
-    /// live in the store's columns; when null (free-standing test nodes)
-    /// the node falls back to inline members. Behavior is identical.
+    /// Struct-of-arrays hot-state store (DESIGN.md §12). Required: it must
+    /// hold a slot for this node's id, where the node's position and
+    /// residual energy live.
     NodeStore* store = nullptr;
   };
 
@@ -187,12 +186,6 @@ class Node {
   /// no handle. Network::restore_event calls this after re-inserting it.
   void adopt_event(const sim::EventTag& tag, sim::EventId id);
 
-  /// Recomputes this node's NodeStore flow aggregate from the flow table.
-  /// Call after mutating the table through flows() from outside the node
-  /// (flow start, checkpoint restore); the node's own handlers keep the
-  /// aggregate current themselves. No-op without a bound store slot.
-  void sync_flow_aggregate();
-
  private:
   void handle_data(DataBody data, const SenderStamp& from);
   void handle_recruit(const RecruitBody& body);
@@ -210,18 +203,13 @@ class Node {
   void cancel_notify_retry(FlowEntry& entry);
   Packet stamp(PacketType type, NodeId link_dest, util::Bits size_bits) const;
 
-  /// Position storage: the NodeStore column cell when bound, the inline
-  /// member otherwise. Node is neither copyable nor movable, so the
-  /// self-pointing fallback is safe.
+  /// Position storage: this node's NodeStore column cell.
   geom::Vec2& pos() { return *pos_cell_; }
   const geom::Vec2& pos() const { return *pos_cell_; }
 
   NodeId id_;
-  geom::Vec2 position_;
   // snap:transient(rebound to the NodeStore cell at construction)
   geom::Vec2* pos_cell_ = nullptr;
-  // snap:transient(rebound to the NodeStore cell at construction)
-  FlowAggregate* flow_cell_ = nullptr;
   energy::Battery battery_;
   NeighborTable neighbors_;
   FlowTable flows_;

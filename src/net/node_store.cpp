@@ -6,27 +6,12 @@ NodeStore::Index NodeStore::add(geom::Vec2 position, util::Joules residual) {
   const auto index = static_cast<Index>(count_);
   positions_.push_back(position);
   residuals_.push_back(residual);
-  flows_.push_back(FlowAggregate{});
   ++count_;
   return index;
 }
 
-util::Joules NodeStore::total_residual() const {
-  util::Joules sum{0.0};
-  residuals_.for_each([&sum](util::Joules j) { sum += j; });
-  return sum;
-}
-
-std::uint64_t NodeStore::total_packets_relayed() const {
-  std::uint64_t sum = 0;
-  flows_.for_each(
-      [&sum](const FlowAggregate& agg) { sum += agg.packets_relayed; });
-  return sum;
-}
-
 std::size_t NodeStore::approx_bytes() const {
-  return positions_.approx_bytes() + residuals_.approx_bytes() +
-         flows_.approx_bytes();
+  return positions_.approx_bytes() + residuals_.approx_bytes();
 }
 
 }  // namespace imobif::net

@@ -1,21 +1,17 @@
 // NodeStore: struct-of-arrays storage for the hot per-node simulation
-// state — position, residual energy, and flow aggregates (DESIGN.md §12).
+// state — position and residual energy (DESIGN.md §12).
 //
 // At 10^5-10^6 nodes the Node objects themselves (neighbor tables, flow
 // tables, service bindings) are too large to stream through the cache on
 // the hot paths that only need a position or a residual-energy reading.
 // The store keeps exactly those fields in dense per-field columns, and
-// Node transparently binds its accessors to its slot at construction: the
-// public Node API is unchanged, code that iterates "all positions" or
-// "total residual energy" walks contiguous memory.
+// Node binds its accessors to its slot at construction, so the public Node
+// API reads and writes the columns directly.
 //
 // Columns are chunked (fixed-size blocks, never reallocated) so a cell
 // pointer handed out to a Node or a Battery stays valid as the store
-// grows. Slot indices are the dense NodeIds the Network assigns.
-//
-// Free-standing nodes (unit tests construct Nodes without a Network) take
-// a private inline fallback instead; the store is an optimization layer,
-// not a requirement.
+// grows. Slot indices are the dense NodeIds the Network assigns. Every
+// Node requires a slot: there is no inline fallback.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +22,6 @@
 #include "util/units.hpp"
 
 namespace imobif::net {
-
-/// Per-node roll-up of the flow table: enough for load monitoring and
-/// scale accounting without touching the per-flow hash map. Derived data —
-/// rebuilt from the flow tables after a checkpoint restore, never
-/// checkpointed itself.
-struct FlowAggregate {
-  // snap:derived(Node::sync_flow_aggregate)
-  std::uint32_t active_flows = 0;
-  std::uint64_t packets_relayed = 0;
-};
 
 // snap:transient(SoA mirror refilled by the node-restore loop)
 class NodeStore {
@@ -53,16 +39,9 @@ class NodeStore {
   /// any number of add() calls.
   geom::Vec2* position_cell(Index i) { return &positions_.at(i); }
   util::Joules* residual_cell(Index i) { return &residuals_.at(i); }
-  FlowAggregate* flow_cell(Index i) { return &flows_.at(i); }
 
   geom::Vec2 position(Index i) const { return positions_.at(i); }
   util::Joules residual(Index i) const { return residuals_.at(i); }
-  const FlowAggregate& flow_aggregate(Index i) const { return flows_.at(i); }
-
-  /// Column sweeps over contiguous chunks (the scale-path replacements
-  /// for per-Node virtual-call loops).
-  util::Joules total_residual() const;
-  std::uint64_t total_packets_relayed() const;
 
   /// Heap bytes held by the columns (scale accounting: bytes/node).
   std::size_t approx_bytes() const;
@@ -85,20 +64,6 @@ class NodeStore {
       ++size_;
     }
 
-    std::size_t size() const { return size_; }
-    std::size_t chunk_count() const { return chunks_.size(); }
-
-    /// Visits every element chunk by chunk (contiguous within a chunk).
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      std::size_t remaining = size_;
-      for (const auto& chunk : chunks_) {
-        const std::size_t n = remaining < kChunk ? remaining : kChunk;
-        for (std::size_t i = 0; i < n; ++i) fn(chunk->data[i]);
-        remaining -= n;
-      }
-    }
-
     std::size_t approx_bytes() const {
       return chunks_.size() * sizeof(Chunk) +
              chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
@@ -114,7 +79,6 @@ class NodeStore {
 
   Column<geom::Vec2> positions_;
   Column<util::Joules> residuals_;
-  Column<FlowAggregate> flows_;
   std::size_t count_ = 0;
 };
 

@@ -37,8 +37,6 @@ class SweepReport {
   /// determinism comparisons; unset (< 0) is omitted from the JSON.
   void set_wall_ms(double wall_ms) { wall_ms_ = wall_ms; }
 
-  std::size_t series_count() const { return series_.size(); }
-
   util::Json to_json() const;
   std::string to_string() const { return to_json().dump(2) + "\n"; }
 

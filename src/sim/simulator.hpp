@@ -3,7 +3,7 @@
 // Components schedule event records (event_tag.hpp) at absolute or
 // relative times; run() drains them in order, advancing the clock
 // monotonically, and hands each one to the registered EventSink. A stop
-// flag and event budget guard against runaway protocols in tests.
+// flag and run()'s event cap guard against runaway protocols.
 #pragma once
 
 #include "sim/event_queue.hpp"
@@ -53,9 +53,6 @@ class Simulator {
   /// EventQueue::approx_bytes).
   std::size_t queue_approx_bytes() const { return queue_.approx_bytes(); }
 
-  /// Time of the earliest pending event; Time::infinity() when none.
-  Time next_event_time() const { return queue_.next_time(); }
-
   /// Every pending event in execution order, for checkpointing.
   std::vector<Event> pending() const { return queue_.pending(); }
 
@@ -64,10 +61,6 @@ class Simulator {
   /// executed) — restore re-schedules events *after* the clock is seated so
   /// their absolute times are never "in the past".
   void restore_clock(Time now, std::size_t executed);
-
-  /// Aborts run() with an exception after this many events (0 = unlimited).
-  void set_event_budget(std::size_t budget) { event_budget_ = budget; }
-
  private:
   EventQueue queue_;
   EventSink* sink_ = nullptr;
@@ -75,7 +68,6 @@ class Simulator {
   bool stopped_ = false;
   // snap:derived(restore_clock)
   std::size_t executed_ = 0;
-  std::size_t event_budget_ = 0;
 };
 
 }  // namespace imobif::sim

@@ -816,9 +816,6 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
       entry.notify_applied_seq = r.u32();
       entry.recruits_initiated = r.u32();
     }
-    // Flow tables were rebuilt through the raw accessor; refresh the
-    // node's derived NodeStore roll-up.
-    node.sync_flow_aggregate();
   }
   r.end_section();
 

@@ -18,14 +18,6 @@ void Generator::restore_state(const std::vector<double>& state) {
 
 namespace {
 
-/// The legacy packet train: the base interval verbatim, no RNG draws.
-class CbrGenerator final : public Generator {
- public:
-  using Generator::Generator;
-  ModelId id() const override { return ModelId::kCbr; }
-  Seconds next_interval(Seconds base) override { return base; }
-};
-
 /// Exponential ON/OFF bursts. During an ON period packets leave at the
 /// boosted peak interval base * duty (duty = on / (on + off)), so the
 /// long-run mean interval stays the nominal `base`; when the ON budget
@@ -91,7 +83,7 @@ std::unique_ptr<Generator> make_generator(const Params& params,
   params.validate();
   switch (params.model) {
     case ModelId::kCbr:
-      return std::make_unique<CbrGenerator>(seed);
+      throw std::invalid_argument("traffic: CBR has no generator");
     case ModelId::kOnOff:
       return std::make_unique<OnOffGenerator>(params, seed);
     case ModelId::kPareto:

@@ -53,9 +53,9 @@ class Generator {
   util::Rng rng_;
 };
 
-/// Builds the generator for `params`. CBR callers normally skip the
-/// generator entirely (Params::enabled() is false), but the factory still
-/// serves all three models so tests can exercise the CBR object.
+/// Builds the generator for `params`. CBR has none (Params::enabled() is
+/// false and the network keeps its inline constant interval), so kCbr
+/// throws std::invalid_argument.
 std::unique_ptr<Generator> make_generator(const Params& params,
                                           std::uint64_t seed);
 

@@ -52,82 +52,11 @@ double Empirical::quantile(double q) const {
   return s[lo] * (1.0 - frac) + s[hi] * frac;
 }
 
-double Empirical::cdf(double x) const {
-  if (data_.empty()) return 0.0;
-  const auto& s = sorted();
-  const auto it = std::upper_bound(s.begin(), s.end(), x);
-  return static_cast<double>(it - s.begin()) / static_cast<double>(s.size());
-}
-
 double Empirical::mean() const {
   if (data_.empty()) return 0.0;
   double sum = 0.0;
   for (double v : data_) sum += v;
   return sum / static_cast<double>(data_.size());
-}
-
-double Empirical::fraction_below(double x) const {
-  if (data_.empty()) return 0.0;
-  const auto& s = sorted();
-  const auto it = std::lower_bound(s.begin(), s.end(), x);
-  return static_cast<double>(it - s.begin()) / static_cast<double>(s.size());
-}
-
-double Empirical::fraction_above(double x) const {
-  if (data_.empty()) return 0.0;
-  const auto& s = sorted();
-  const auto it = std::upper_bound(s.begin(), s.end(), x);
-  return static_cast<double>(s.end() - it) / static_cast<double>(s.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<long>((x - lo_) / width);
-  bin = std::clamp(bin, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
-PowerFit fit_power_law(const std::vector<double>& xs,
-                       const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("fit_power_law: need >= 2 paired samples");
-  }
-  // Linear regression of log(y) on log(x).
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  const auto n = static_cast<double>(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] <= 0.0 || ys[i] <= 0.0) {
-      throw std::invalid_argument("fit_power_law: samples must be positive");
-    }
-    const double lx = std::log(xs[i]);
-    const double ly = std::log(ys[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-  }
-  const double denom = n * sxx - sx * sx;
-  if (std::fabs(denom) < 1e-12) {
-    throw std::invalid_argument("fit_power_law: degenerate x values");
-  }
-  PowerFit fit;
-  fit.exponent = (n * sxy - sx * sy) / denom;
-  fit.coefficient = std::exp((sy - fit.exponent * sx) / n);
-  return fit;
 }
 
 Interval bootstrap_mean_ci(const std::vector<double>& samples,

@@ -1,4 +1,4 @@
-// Streaming summary statistics and empirical distributions (CDF, histogram).
+// Streaming summary statistics and empirical distributions.
 //
 // Every figure in the paper reports either per-instance scatter series with a
 // printed average (Fig 6, 7) or a CDF (Fig 8); these types back both.
@@ -22,7 +22,6 @@ class Summary {
   double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
   std::size_t n_ = 0;
@@ -43,18 +42,10 @@ class Empirical {
 
   /// Quantile in [0,1] by linear interpolation. Requires non-empty.
   double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-
-  /// Empirical CDF value P(X <= x).
-  double cdf(double x) const;
 
   double mean() const;
   double min() const { return quantile(0.0); }
   double max() const { return quantile(1.0); }
-
-  /// Fraction of samples strictly below / above a threshold.
-  double fraction_below(double x) const;
-  double fraction_above(double x) const;
 
   /// Sorted copy of the sample (for CDF plotting).
   const std::vector<double>& sorted() const;
@@ -63,36 +54,6 @@ class Empirical {
   mutable std::vector<double> data_;
   mutable bool sorted_ = false;
 };
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Least-squares fit of y = c * x^p on log-log axes; used to regress the
-/// max-lifetime strategy's alpha' parameter from historical data
-/// (paper Section 3.2). All samples must be positive.
-struct PowerFit {
-  double exponent = 0.0;
-  double coefficient = 0.0;
-};
-PowerFit fit_power_law(const std::vector<double>& xs,
-                       const std::vector<double>& ys);
 
 /// Percentile-bootstrap confidence interval for the sample mean: resample
 /// with replacement `resamples` times, take the (1-confidence)/2 and

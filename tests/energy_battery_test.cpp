@@ -62,15 +62,6 @@ TEST(Battery, DepletionCallbackFiresExactlyOnce) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(Battery, CanAfford) {
-  Battery b(Joules{5.0});
-  EXPECT_TRUE(b.can_afford(Joules{5.0}));
-  EXPECT_FALSE(b.can_afford(Joules{5.1}));
-  b.draw(Joules{3.0}, DrawKind::kMove);
-  EXPECT_TRUE(b.can_afford(Joules{2.0}));
-  EXPECT_FALSE(b.can_afford(Joules{2.1}));
-}
-
 TEST(Battery, DrawZeroIsNoOp) {
   Battery b(Joules{5.0});
   EXPECT_DOUBLE_EQ(b.draw(Joules{0.0}, DrawKind::kOther).value(), 0.0);
@@ -80,22 +71,6 @@ TEST(Battery, DrawZeroIsNoOp) {
 TEST(Battery, ZeroInitialIsBornDepleted) {
   Battery b(Joules{0.0});
   EXPECT_TRUE(b.depleted());
-}
-
-TEST(Battery, RechargeResetsEverything) {
-  Battery b(Joules{5.0});
-  int calls = 0;
-  b.set_depletion_callback([&] { ++calls; });
-  b.draw(Joules{5.0}, DrawKind::kTransmit);
-  EXPECT_EQ(calls, 1);
-  b.recharge(Joules{8.0});
-  EXPECT_DOUBLE_EQ(b.residual().value(), 8.0);
-  EXPECT_FALSE(b.depleted());
-  EXPECT_DOUBLE_EQ(b.consumed_total().value(), 0.0);
-  EXPECT_DOUBLE_EQ(b.consumed_transmit().value(), 0.0);
-  b.draw(Joules{9.0}, DrawKind::kTransmit);
-  EXPECT_EQ(calls, 2);  // callback survives recharge
-  EXPECT_THROW(b.recharge(Joules{-1.0}), std::invalid_argument);
 }
 
 TEST(Battery, ConservationInvariant) {

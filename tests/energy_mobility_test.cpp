@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 namespace imobif::energy {
 namespace {
 
-using util::Joules;
 using util::Meters;
 
 MobilityParams params(double k, double max_step) {
@@ -36,17 +33,8 @@ TEST(MobilityModel, NegativeDistanceThrows) {
   EXPECT_THROW(m.move_energy(Meters{-1.0}), std::invalid_argument);
 }
 
-TEST(MobilityModel, RangeForEnergyInverts) {
-  const MobilityEnergyModel m(params(0.5, 1.0));
-  EXPECT_DOUBLE_EQ(m.range_for_energy(Joules{5.0}).value(), 10.0);
-  EXPECT_DOUBLE_EQ(m.range_for_energy(Joules{0.0}).value(), 0.0);
-  EXPECT_DOUBLE_EQ(m.range_for_energy(Joules{-3.0}).value(), 0.0);
-}
-
-TEST(MobilityModel, FreeMovementHasInfiniteRange) {
+TEST(MobilityModel, FreeMovementCostsNothing) {
   const MobilityEnergyModel m(params(0.0, 1.0));
-  EXPECT_EQ(m.range_for_energy(Joules{1.0}).value(),
-            std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(m.move_energy(Meters{100.0}).value(), 0.0);
 }
 

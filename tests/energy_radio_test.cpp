@@ -60,15 +60,6 @@ TEST(RadioModel, SustainableBitsInvertsTransmit) {
                    0.0);
 }
 
-TEST(RadioModel, RangeForPowerInvertsPower) {
-  const RadioEnergyModel m(params(1e-7, 1e-10, 2.0));
-  const JoulesPerBit p = m.power_per_bit(Meters{123.0});
-  EXPECT_NEAR(m.range_for_power(p).value(), 123.0, 1e-9);
-  // Only electronics / below electronics: zero range either way.
-  EXPECT_DOUBLE_EQ(m.range_for_power(JoulesPerBit{1e-7}).value(), 0.0);
-  EXPECT_DOUBLE_EQ(m.range_for_power(JoulesPerBit{1e-8}).value(), 0.0);
-}
-
 // Parameterized over path-loss exponents: monotonicity and convexity of P.
 class RadioAlpha : public ::testing::TestWithParam<double> {};
 
@@ -93,14 +84,6 @@ TEST_P(RadioAlpha, EvenSplitNeverWorseThanDirect) {
     const Joules two_hop =
         2.0 * m.transmit_energy(Meters{d / 2.0}, Bits{1000.0});
     EXPECT_LE(two_hop, direct + Joules{1e-12});
-  }
-}
-
-TEST_P(RadioAlpha, RangeForPowerRoundTrip) {
-  const RadioEnergyModel m(params(1e-7, 1e-10, GetParam()));
-  for (double d = 1.0; d <= 250.0; d += 7.0) {
-    EXPECT_NEAR(m.range_for_power(m.power_per_bit(Meters{d})).value(), d,
-                1e-6);
   }
 }
 

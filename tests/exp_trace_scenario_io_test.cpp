@@ -1,9 +1,12 @@
 // TraceRecorder and scenario-config binding tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario_io.hpp"
@@ -269,6 +272,64 @@ TEST(ScenarioIo, CrashListRoundTripsThroughFormatter) {
   EXPECT_EQ(parsed[1].at_s, 100.125);
   EXPECT_EQ(parsed[1].duration_s, 30.0);
   EXPECT_THROW(parse_crashes("5:1.0"), std::invalid_argument);
+  // The node id must fit a NodeId: no wrap, truncation or trailing junk.
+  EXPECT_THROW(parse_crashes("4294967297:10:5"), std::invalid_argument);
+  EXPECT_THROW(parse_crashes("-1:10:5"), std::invalid_argument);
+  EXPECT_THROW(parse_crashes("3x:10:5"), std::invalid_argument);
+  // Padding around an item is not part of the id.
+  EXPECT_EQ(parse_crashes("1:0.5:-1, 3:10:5").at(1).node, 3u);
+}
+
+// Unsigned keys parse into their exact field type: a sign, trailing junk
+// or a value the field cannot hold is an error naming the key, never a
+// wrap (-1 -> 2^64 - 1) or a truncation (2^32 + 1 -> 1).
+TEST(ScenarioIo, UnsignedKeysRejectSignsJunkAndOverflow) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"min_hops", "-1"},
+      {"notify_retry_cap", "4294967297"},
+      {"node_count", "-3"},
+      {"notification_min_gap", "4x"},
+      {"mobility.group_count", "+2"},
+      {"fault_seed", "18446744073709551616"},
+      {"seed", "12.9"},
+      {"seed", ""},
+  };
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key + " = " + value);
+    ScenarioParams p;
+    try {
+      apply_config(util::Config::from_string(key + " = " + value + "\n"), p);
+      FAIL() << "accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("'" + key + "'"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  // Each field's full range still parses.
+  ScenarioParams p;
+  apply_config(util::Config::from_string("notify_retry_cap = 4294967295\n"
+                                         "seed = 18446744073709551615\n"),
+               p);
+  EXPECT_EQ(p.notify_retry_cap, 4294967295u);
+  EXPECT_EQ(p.seed, std::numeric_limits<std::uint64_t>::max());
+}
+
+// Seeds at or above 2^63 are written by to_config_string and must read
+// back: snapshots embed the scenario through this round trip.
+TEST(ScenarioIo, FullRangeSeedsRoundTrip) {
+  for (const std::uint64_t seed :
+       {std::numeric_limits<std::uint64_t>::max(),
+        (std::uint64_t{1} << 63) + 5}) {
+    ScenarioParams p;
+    p.seed = seed;
+    p.fault.seed = seed;
+    ScenarioParams q;
+    apply_config(util::Config::from_string(to_config_string(p)), q);
+    EXPECT_EQ(q.seed, seed);
+    EXPECT_EQ(q.fault.seed, seed);
+    EXPECT_EQ(to_config_string(q), to_config_string(p));
+  }
 }
 
 }  // namespace

@@ -65,17 +65,6 @@ TEST(StepTowards, AtTargetStays) {
   EXPECT_EQ(step_towards(p, p, 5.0), p);
 }
 
-TEST(MaxOfflineDistance, ComputesWorstCase) {
-  const Segment s{{0.0, 0.0}, {10.0, 0.0}};
-  const std::vector<Vec2> pts{{1.0, 1.0}, {5.0, -4.0}, {9.0, 2.0}};
-  EXPECT_DOUBLE_EQ(max_offline_distance(s, pts.data(), pts.size()), 4.0);
-}
-
-TEST(MaxOfflineDistance, EmptyIsZero) {
-  const Segment s{{0.0, 0.0}, {1.0, 0.0}};
-  EXPECT_DOUBLE_EQ(max_offline_distance(s, nullptr, 0), 0.0);
-}
-
 TEST(PolylineLength, SumsSegments) {
   const std::vector<Vec2> pts{{0, 0}, {3, 4}, {3, 8}};
   EXPECT_DOUBLE_EQ(polyline_length(pts.data(), pts.size()), 9.0);

@@ -111,11 +111,10 @@ TEST(MaxLifetimeConvergence, HopLengthsFollowResidualEnergy) {
   test::HarnessOptions opts;
   opts.mode = MobilityMode::kCostUnaware;  // unconditional strategy motion
   opts.k = 0.0;  // isolate the placement rule from energy death
-  auto h = make_harness(positions, opts);
   // Rich relay 1, poor relay 2, rich relay 3.
-  h.net().node(1).battery().recharge(Joules{2000.0});
-  h.net().node(2).battery().recharge(Joules{200.0});
-  h.net().node(3).battery().recharge(Joules{2000.0});
+  opts.node_energy_j = {opts.initial_energy_j, Joules{2000.0}, Joules{200.0},
+                        Joules{2000.0}};
+  auto h = make_harness(positions, opts);
   h.net().warmup(Seconds{25.0});
 
   net::FlowSpec spec =
@@ -144,9 +143,9 @@ TEST(MaxLifetimeConvergence, DiffersFromMinEnergyPlacement) {
     test::HarnessOptions opts;
     opts.mode = MobilityMode::kCostUnaware;
     opts.k = 0.0;
+    opts.node_energy_j = {opts.initial_energy_j, Joules{3000.0},
+                          Joules{300.0}};
     auto h = make_harness(positions, opts);
-    h.net().node(1).battery().recharge(Joules{3000.0});
-    h.net().node(2).battery().recharge(Joules{300.0});
     h.net().warmup(Seconds{25.0});
     net::FlowSpec spec = default_flow(h.net(), 8192.0 * 1500, strategy);
     spec.initially_enabled = true;

@@ -61,16 +61,6 @@ TEST(GridIndex, UpdateUnknownThrows) {
   EXPECT_THROW(index.update(5, {0.0, 0.0}), std::out_of_range);
 }
 
-TEST(GridIndex, RemoveIsIdempotent) {
-  GridIndex index(100.0);
-  index.insert(3, {0.0, 0.0});
-  index.remove(3);
-  EXPECT_FALSE(index.contains(3));
-  EXPECT_EQ(index.size(), 0u);
-  index.remove(3);  // no-op
-  EXPECT_TRUE(index.query({0.0, 0.0}, 100.0).empty());
-}
-
 TEST(GridIndex, NegativeCoordinatesWork) {
   GridIndex index(100.0);
   index.insert(1, {-350.0, -220.0});
@@ -139,7 +129,7 @@ TEST(GridIndexNearest, EqualDistanceBreaksToLowestId) {
 }
 
 // Property: query() agrees with brute force over random insert / move /
-// remove workloads.
+// query workloads.
 TEST(GridIndexProperty, MatchesBruteForce) {
   util::Rng rng(99);
   GridIndex index(180.0);
@@ -157,9 +147,6 @@ TEST(GridIndexProperty, MatchesBruteForce) {
       const geom::Vec2 p{rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)};
       index.update(id, p);
       truth[id] = p;
-    } else if (op == 1 && truth.count(id)) {
-      index.remove(id);
-      truth.erase(id);
     } else {
       const geom::Vec2 center{rng.uniform(-1000, 1000),
                               rng.uniform(-1000, 1000)};

@@ -153,7 +153,7 @@ TEST(GridVsBruteForce, CoincidentPoints) {
   EXPECT_EQ(hit->id, 4u);  // lowest id among the coincident stack
 }
 
-// Seeded random clouds over a mixed insert / move / remove workload, with
+// Seeded random clouds over a mixed insert / move / query workload, with
 // every third position snapped to the cell lattice so boundary cases keep
 // appearing as the cloud churns.
 TEST(GridVsBruteForce, RandomCloudsWithChurn) {
@@ -189,11 +189,6 @@ TEST(GridVsBruteForce, RandomCloudsWithChurn) {
         const geom::Vec2 p = random_position(step);
         index.update(points[k].id, p);
         points[k].position = p;
-      } else if (op == 1 && points.size() > 50) {
-        const auto k = static_cast<std::size_t>(
-            rng.uniform_int(0, points.size() - 1));
-        index.remove(points[k].id);
-        points.erase(points.begin() + static_cast<std::ptrdiff_t>(k));
       } else {
         const geom::Vec2 center{rng.uniform(-2200.0, 2200.0),
                                 rng.uniform(-2200.0, 2200.0)};

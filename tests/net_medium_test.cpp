@@ -160,6 +160,10 @@ TEST(Medium, DuplicateNodeIdRejected) {
   services.sim = &sim;
   services.medium = &medium;
   services.radio = &radio;
+  NodeStore store;
+  store.add({0, 0}, util::Joules{10.0});
+  store.add({0, 0}, util::Joules{10.0});
+  services.store = &store;
   Node a(1, {0, 0}, util::Joules{10.0}, services);
   Node dup(1, {5, 5}, util::Joules{10.0}, services);
   medium.attach(a);

@@ -19,6 +19,22 @@ using util::Seconds;
 TEST(Node, RequiresCoreServices) {
   Node::Services empty;
   EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, empty), std::invalid_argument);
+
+  // Core services but no NodeStore slot for the id: position and residual
+  // have nowhere to live.
+  sim::Simulator sim;
+  Medium medium(sim, MediumConfig{});
+  energy::RadioEnergyModel radio{energy::RadioParams{}};
+  Node::Services services;
+  services.sim = &sim;
+  services.medium = &medium;
+  services.radio = &radio;
+  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, services), std::invalid_argument);
+  NodeStore store;
+  store.add({0, 0}, Joules{1.0});
+  services.store = &store;
+  EXPECT_THROW(Node(1, {0, 0}, Joules{1.0}, services), std::invalid_argument);
+  EXPECT_NO_THROW(Node(0, {0, 0}, Joules{1.0}, services));
 }
 
 TEST(Node, HelloPopulatesNeighborTables) {

@@ -135,18 +135,6 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST(Simulator, EventBudgetAborts) {
-  Simulator sim;
-  CallbackSink cb(sim);
-  sim.set_event_budget(10);
-  // Self-perpetuating event chain.
-  std::function<void()> tick = [&] {
-    cb.after(Time::from_seconds(1.0), tick);
-  };
-  cb.after(Time::from_seconds(1.0), tick);
-  EXPECT_THROW(sim.run(), std::runtime_error);
-}
-
 TEST(Simulator, NestedSchedulingSameTickRuns) {
   Simulator sim;
   CallbackSink cb(sim);

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -130,6 +132,24 @@ TEST(SnapCheckpoint, CostUnawareAndBaselineModesEquivalent) {
                                 core::MobilityMode::kNoMobility, {}, 1500);
   expect_checkpoint_equivalence(base_params(),
                                 core::MobilityMode::kCostUnaware, {}, 1500);
+}
+
+// Seeds use the whole uint64 range; the scenario text embedded in the meta
+// section must carry 2^64 - 1 through restore.
+TEST(SnapCheckpoint, FullRangeSeedsSurviveRestore) {
+  exp::ScenarioParams params = base_params();
+  params.seed = std::numeric_limits<std::uint64_t>::max();
+  params.fault.seed = std::numeric_limits<std::uint64_t>::max();
+  util::Rng rng(params.seed);
+  const exp::FlowInstance instance = exp::sample_instance(params, rng);
+  auto run = exp::InstanceRun::create(instance, params,
+                                      core::MobilityMode::kInformed, {});
+  run->advance(500);
+  const std::string bytes = encode(*run);
+  auto restored = restore(bytes);
+  EXPECT_EQ(restored->params().seed, params.seed);
+  EXPECT_EQ(restored->params().fault.seed, params.fault.seed);
+  EXPECT_EQ(encode(*restored), bytes);
 }
 
 TEST(SnapCheckpoint, SaveRestoreFileRoundTrip) {

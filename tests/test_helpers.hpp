@@ -21,6 +21,9 @@ struct Harness {
 struct HarnessOptions {
   double comm_range_m = 180.0;
   util::Joules initial_energy_j{2000.0};
+  /// Per-node initial energies by id; nodes past its end get
+  /// initial_energy_j.
+  std::vector<util::Joules> node_energy_j{};
   double k = 0.5;
   double max_step_m = 1.0;
   double radio_a = 1e-7;
@@ -56,8 +59,10 @@ inline Harness make_harness(const std::vector<geom::Vec2>& positions,
   config.radio.alpha = opts.radio_alpha;
 
   h.network = std::make_unique<net::Network>(config);
-  for (const auto& pos : positions) {
-    h.network->add_node(pos, opts.initial_energy_j);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    h.network->add_node(positions[i], i < opts.node_energy_j.size()
+                                          ? opts.node_energy_j[i]
+                                          : opts.initial_energy_j);
   }
   h.network->set_routing(
       std::make_unique<net::GreedyRouting>(h.network->medium()));

@@ -1,6 +1,6 @@
-// Traffic-generator unit tests: CBR pass-through, mean preservation of the
-// stochastic models, the (rng, state) checkpoint contract, and parameter
-// validation (DESIGN.md §14).
+// Traffic-generator unit tests: CBR has no generator, mean preservation of
+// the stochastic models, the (rng, state) checkpoint contract, and
+// parameter validation (DESIGN.md §14).
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -26,16 +26,11 @@ Params params_for(ModelId id) {
 
 constexpr Seconds kBase{1.0};
 
-TEST(TrafficGenerator, CbrReturnsBaseVerbatimWithoutRngDraws) {
-  const auto gen = make_generator(params_for(ModelId::kCbr), 11);
-  const auto rng_before = gen->rng().state();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(gen->next_interval(kBase), kBase);
-  }
-  // The legacy packet train must not consume randomness: a CBR generator
-  // behaves exactly like the inline interval computation it mirrors.
-  EXPECT_EQ(gen->rng().state(), rng_before);
-  EXPECT_TRUE(gen->state().empty());
+// The legacy packet train is the network's inline constant interval; the
+// factory refuses to build a generator for it.
+TEST(TrafficGenerator, CbrHasNoGenerator) {
+  EXPECT_THROW(make_generator(params_for(ModelId::kCbr), 11),
+               std::invalid_argument);
 }
 
 TEST(TrafficGenerator, StochasticModelsApproximatelyPreserveTheMean) {
@@ -88,8 +83,7 @@ TEST(TrafficGenerator, SameSeedSameSequence) {
 // The checkpoint contract: (rng state, state()) restored into a fresh
 // generator reproduces the original's future draws exactly.
 TEST(TrafficGenerator, RngPlusStateRestoresMidStream) {
-  for (const ModelId id :
-       {ModelId::kCbr, ModelId::kOnOff, ModelId::kPareto}) {
+  for (const ModelId id : {ModelId::kOnOff, ModelId::kPareto}) {
     const Params p = params_for(id);
     const auto original = make_generator(p, 31);
     for (int i = 0; i < 137; ++i) original->next_interval(kBase);
@@ -106,8 +100,6 @@ TEST(TrafficGenerator, RngPlusStateRestoresMidStream) {
 }
 
 TEST(TrafficGenerator, RestoreStateRejectsWrongSize) {
-  const auto cbr = make_generator(params_for(ModelId::kCbr), 1);
-  EXPECT_THROW(cbr->restore_state({1.0}), std::invalid_argument);
   const auto onoff = make_generator(params_for(ModelId::kOnOff), 1);
   EXPECT_THROW(onoff->restore_state({}), std::invalid_argument);
   EXPECT_THROW(onoff->restore_state({1.0, 2.0}), std::invalid_argument);

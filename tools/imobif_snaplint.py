@@ -18,8 +18,8 @@ discipline:
                      persist it or annotate why not:
                        // snap:derived(<rebuilder>)   rebuilt after
                                       restore by the named member
-                                      function (e.g. Node::
-                                      sync_flow_aggregate)
+                                      function (e.g. Battery::
+                                      bind_residual_cell)
                        // snap:transient(<reason>)    does not need to
                                       survive a restore (caches, wiring,
                                       scratch, config rebuilt from
@@ -268,8 +268,8 @@ class Tables:
                                  collect_fields)
 
     def collect_source_methods(self, path, raw_lines):
-        """Out-of-class definitions (void Node::sync_flow_aggregate()
-        {...}) widen the member-function table."""
+        """Out-of-class definitions (void Node::adopt_event(...) {...})
+        widen the member-function table."""
         for _stack, stmt, _line in iter_statements(raw_lines):
             flat = collapse_templates(stmt)
             for m in re.finditer(r"(\w+)\s*::\s*~?(\w+)\s*\(", flat):

@@ -132,24 +132,24 @@ def main():
 
     # The production gates, exactly as CI runs them: the real tree is
     # clean under the committed tools/layers.json, and the acceptance
-    # canary — removing the derived-aggregate annotation in
-    # src/net/node_store.hpp — re-fires unpersisted-field.
+    # canary — removing the derived residual-cell annotation in
+    # src/energy/battery.hpp — re-fires unpersisted-field.
     code, out = run_linter("src", layers=None)
     expect("src/ is snaplint-clean", code == 0, out)
 
-    store = os.path.join(REPO_ROOT, "src", "net", "node_store.hpp")
-    with open(store, encoding="utf-8") as f:
+    battery = os.path.join(REPO_ROOT, "src", "energy", "battery.hpp")
+    with open(battery, encoding="utf-8") as f:
         original = f.read()
-    canary = "// snap:derived(Node::sync_flow_aggregate)\n"
-    expect("canary annotation present in node_store.hpp", canary in original)
+    canary = "// snap:derived(bind_residual_cell)\n"
+    expect("canary annotation present in battery.hpp", canary in original)
     try:
-        with open(store, "w", encoding="utf-8") as f:
+        with open(battery, "w", encoding="utf-8") as f:
             f.write(original.replace(canary, ""))
         code, out = run_linter("src", layers=None)
-        expect("canary: dropping the derived-aggregate annotation fires",
-               code == 1 and "FlowAggregate::active_flows" in out, out)
+        expect("canary: dropping the derived residual-cell annotation fires",
+               code == 1 and "Battery::cell_" in out, out)
     finally:
-        with open(store, "w", encoding="utf-8") as f:
+        with open(battery, "w", encoding="utf-8") as f:
             f.write(original)
     code, _ = run_linter("src", layers=None)
     expect("canary: annotation restored, src/ clean again", code == 0)
