@@ -25,7 +25,8 @@ namespace imobif::bench {
 ///   --seed S        override the scenario base seed
 ///   --jobs N        worker threads for the sweep (default 1)
 ///   --json PATH     write a BENCH_*.json artifact of the result series
-///   --loss P        injected per-delivery channel loss probability
+///   --loss P        injected per-delivery channel loss probability in
+///                   [0, 1]
 ///   --fault-seed S  fault-injection seed (default: the scenario seed)
 ///   --checkpoint-dir D  persist per-unit results/checkpoints under D
 ///   --resume        reuse results/checkpoints found in --checkpoint-dir
@@ -74,7 +75,7 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
                  "  --jobs           worker threads (default 1)\n"
                  "  --json           write results as a JSON artifact\n"
                  "  --loss           injected channel loss probability in "
-                 "[0, 1) (default 0,\n"
+                 "[0, 1] (default 0,\n"
                  "                   enables notification retries when > 0)\n"
                  "  --fault-seed     seed for the fault injector (default: "
                  "scenario seed)\n"
@@ -94,18 +95,19 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
     config.instances = parse_instances(args.positional().front());
   }
   config.seed_set = args.has("seed");
-  if (config.seed_set) {
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
-  }
+  config.seed = args.get_unsigned<std::uint64_t>("seed", 0);
   const std::int64_t jobs = args.get_int("jobs", 1);
   config.jobs = jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
   config.json_path = args.get_string("json", "");
   config.loss = args.get_double("loss", 0.0);
-  config.fault_seed_set = args.has("fault-seed");
-  if (config.fault_seed_set) {
-    config.fault_seed =
-        static_cast<std::uint64_t>(args.get_int("fault-seed", 0));
+  // FaultPlan's range; checked here because apply_fault skips loss <= 0.
+  if (!(config.loss >= 0.0 && config.loss <= 1.0)) {
+    throw std::invalid_argument(
+        "Args: --loss expects a probability in [0, 1], got " +
+        args.get_string("loss"));
   }
+  config.fault_seed_set = args.has("fault-seed");
+  config.fault_seed = args.get_unsigned<std::uint64_t>("fault-seed", 0);
   config.checkpoint.dir = args.get_string("checkpoint-dir", "");
   config.checkpoint.resume = args.get_bool("resume", false);
   config.checkpoint.every_sim_s =
@@ -195,19 +197,13 @@ inline void export_fault_counters(
 
 /// runtime::run_comparison_parallel under the bench's --jobs and
 /// checkpoint flags: bit-identical results for any --jobs value, and
-/// crash-resumable when --checkpoint-dir is set. Each call gets a
-/// distinct checkpoint scope ("s0-", "s1-", ...) from a per-process
-/// counter: bench binaries run panels/variants in a fixed order, so the
-/// Nth sweep maps to the same files in the original and the resuming
-/// process, while two sweeps never collide.
+/// crash-resumable when --checkpoint-dir is set (unit files are keyed by
+/// a digest of the scenario and options, so panels never collide).
 inline std::vector<exp::ComparisonPoint> run_comparison(
     const exp::ScenarioParams& params, const BenchConfig& config,
     const exp::RunOptions& options = {}) {
-  static int sweep_counter = 0;
-  runtime::CheckpointOptions checkpoint = config.checkpoint;
-  checkpoint.scope = "s" + std::to_string(sweep_counter++) + "-";
   return runtime::run_comparison_parallel(params, config.instances, options,
-                                          config.jobs, checkpoint);
+                                          config.jobs, config.checkpoint);
 }
 
 /// Monotonic milliseconds-since-construction stopwatch for wall_ms.

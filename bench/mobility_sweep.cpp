@@ -12,11 +12,8 @@
 // between packets), bursty traffic erodes them further (longer idle gaps
 // per delivered bit), and the informed policy degrades most gracefully.
 //
-// The trace cell reads --trace PATH when given; otherwise it writes the
-// built-in demo schedule (a copy of bench/traces/demo.trace) to a fixed
-// scratch path.
-#include <fstream>
-
+// The trace cell reads --trace PATH when given; otherwise the committed
+// demo schedule, bench/traces/demo.trace (its path is compiled in).
 #include "bench_common.hpp"
 #include "mob/params.hpp"
 #include "traffic/params.hpp"
@@ -24,20 +21,6 @@
 namespace {
 
 using namespace imobif;
-
-/// Byte-for-byte the committed bench/traces/demo.trace (ten nodes
-/// sweeping the arena over 400 s); see that file for the annotated copy.
-constexpr const char* kDemoTrace =
-    "0 0 100 100\n0 200 900 100\n0 400 900 900\n"
-    "1 0 900 900\n1 200 100 900\n1 400 100 100\n"
-    "2 0 500 50\n2 150 500 500\n2 400 500 950\n"
-    "3 0 50 500\n3 150 500 500\n3 400 950 500\n"
-    "4 0 200 800\n4 250 800 800\n4 400 800 200\n"
-    "5 0 800 200\n5 250 200 200\n5 400 200 800\n"
-    "6 0 100 500\n6 100 300 700\n6 300 700 300\n6 400 900 500\n"
-    "7 0 900 500\n7 100 700 300\n7 300 300 700\n7 400 100 500\n"
-    "8 0 400 400\n8 400 600 600\n"
-    "9 0 600 600\n9 400 400 400\n";
 
 struct Cell {
   mob::ModelId mobility;
@@ -108,19 +91,8 @@ int main(int argc, char** argv) {
   const bench::Stopwatch stopwatch;
   runtime::SweepReport report("mobility_sweep");
 
-  const util::Args args(argc, argv);
-  std::string trace_path = args.get_string("trace", "");
-  if (trace_path.empty()) {
-    // Fixed path (not CWD-relative): the run neither depends on nor
-    // writes into the working directory.
-    trace_path = "/tmp/imobif_mobility_demo.trace";
-    std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
-    out << kDemoTrace;
-    if (!out) {
-      std::cerr << "mobility_sweep: cannot write " << trace_path << "\n";
-      return 1;
-    }
-  }
+  const std::string trace_path =
+      util::Args(argc, argv).get_string("trace", IMOBIF_DEMO_TRACE);
 
   std::vector<Cell> cells;
   for (const mob::ModelId m :

@@ -134,17 +134,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto event_budget =
-      static_cast<std::size_t>(args.get_int("events", 2000000));
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", 20050610));
+      args.get_unsigned<std::size_t>("events", 2000000);
+  const auto seed = args.get_unsigned<std::uint64_t>("seed", 20050610);
   const std::string json_path = args.get_string("json", "");
 
   std::vector<std::size_t> counts;
   if (args.has("nodes")) {
-    counts.push_back(static_cast<std::size_t>(args.get_int("nodes", 100)));
+    counts.push_back(args.get_unsigned<std::size_t>("nodes", 100));
   } else {
-    const auto max_nodes = static_cast<std::size_t>(
-        args.get_int("max-nodes", 1000000));
+    const auto max_nodes =
+        args.get_unsigned<std::size_t>("max-nodes", 1000000);
     for (std::size_t n = 100; n <= max_nodes; n *= 10) counts.push_back(n);
   }
 

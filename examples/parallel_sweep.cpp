@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   params.node_count = 60;
   params.area_m = util::Meters{800.0};
   params.mean_flow_bits = util::Bits{100.0 * 1024.0 * 8.0};
-  params.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  params.seed = args.get_unsigned<std::uint64_t>("seed", 7);
 
   // Each instance is replayed under no mobility, cost-unaware mobility
   // and iMobif; the ratios compare total energy against no mobility. On

@@ -1,12 +1,13 @@
 #include "exp/scenario_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "util/json.hpp"
 
@@ -18,49 +19,19 @@ namespace {
 // snapshots embed the scenario through it (src/snap).
 std::string num(double v) { return util::Json::number_to_string(v); }
 
-// Parses base-10 digits into exactly T: a sign, junk or a value T cannot
-// hold throws naming `key` instead of wrapping or truncating. Every
-// unsigned key goes through here, so any value to_config_string writes
-// (up to 2^64 - 1 for the seeds) reads back.
+// Every unsigned key reads through util::parse_unsigned into its exact
+// field type: a sign, junk or a value the field cannot hold throws naming
+// `key` instead of wrapping or truncating, and any value to_config_string
+// writes (up to 2^64 - 1 for the seeds) reads back.
 template <typename T>
 T parse_unsigned(std::string_view text, const std::string& key) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("scenario key '" + key +
-                                "' expects an unsigned integer, got '" +
-                                std::string(text) + "'");
+  if (const std::optional<T> value = util::parse_unsigned<T>(text)) {
+    return *value;
   }
-  return value;
+  throw std::invalid_argument("scenario key '" + key +
+                              "' expects an unsigned integer, got '" +
+                              std::string(text) + "'");
 }
-
-template <typename T>
-void read_unsigned(const util::Config& config, const std::string& key,
-                   T& field) {
-  if (config.has(key)) field = parse_unsigned<T>(config.get_string(key), key);
-}
-
-// Every key apply_config reads. Anything else in a config is a typo or an
-// option meant for someone else, and apply_config rejects it rather than
-// silently running the scenario without it.
-constexpr std::string_view kScenarioKeys[] = {
-    "area_m", "node_count", "comm_range_m", "min_hops", "radio_a", "radio_b",
-    "radio_alpha", "radio_rx_per_bit", "k", "max_step_m", "initial_energy_j",
-    "random_energy", "energy_lo_j", "energy_hi_j", "mean_flow_kb",
-    "packet_bits", "rate_bps", "length_estimate_factor", "hello_interval_s",
-    "warmup_s", "charge_hello_energy", "position_error_m", "strategy",
-    "alpha_prime", "line_bias_weight", "cap_bits", "paper_local_estimator",
-    "exact_lifetime_split", "notification_min_gap", "recruit_margin",
-    "multi_flow_blending", "loss_rate", "gilbert_elliott", "p_good_to_bad",
-    "p_bad_to_good", "loss_good", "loss_bad", "fault_seed", "crashes",
-    "notify_retry_cap", "notify_retry_timeout_s", "mobility.model",
-    "mobility.update_s", "mobility.speed_min_mps", "mobility.speed_max_mps",
-    "mobility.pause_s", "mobility.gm_alpha", "mobility.gm_speed_sigma_mps",
-    "mobility.gm_dir_sigma_rad", "mobility.group_count",
-    "mobility.group_radius_m", "mobility.trace_file", "mobility.charge_energy",
-    "traffic.model", "traffic.on_mean_s", "traffic.off_mean_s",
-    "traffic.pareto_shape", "seed"};
 }  // namespace
 
 std::string format_crashes(
@@ -126,241 +97,236 @@ std::vector<net::FaultPlan::CrashEvent> parse_crashes(
   return out;
 }
 
+namespace {
+
+// Typed reads and writes, chosen by the bound field's type: double, bool,
+// an unsigned integer, std::string or a util::Quantity (the raw-double I/O
+// boundary: unwrapped for defaulting, re-wrapped on assignment). Absent
+// keys keep the field's current value.
+template <typename T>
+void read_value(const util::Config& c, const std::string& key, T& f) {
+  if constexpr (std::is_same_v<T, bool>) {
+    f = c.get_bool(key, f);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (c.has(key)) f = parse_unsigned<T>(c.get_string(key), key);
+  } else if constexpr (std::is_same_v<T, double>) {
+    f = c.get_double(key, f);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    f = c.get_string(key, f);
+  } else {
+    f = T{c.get_double(key, f.value())};
+  }
+}
+
+template <typename T>
+std::string format_value(const T& f) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return f ? "true" : "false";
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return std::to_string(f);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return num(f);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return f;
+  } else {
+    return num(f.value());
+  }
+}
+
+/// One scenario key: how apply_config reads it, how to_config_string
+/// writes it, and when it is written (null: always).
+struct Key {
+  std::string_view name;
+  void (*read)(const util::Config&, const std::string&, ScenarioParams&);
+  std::string (*write)(const ScenarioParams&);
+  bool (*written)(const ScenarioParams&) = nullptr;
+};
+
+/// A key bound to one field: `Bind` maps the params to that field, e.g.
+/// `[](auto& p) -> auto& { return p.radio.a; }`.
+template <typename Bind>
+constexpr Key field(std::string_view name, Bind,
+                    bool (*written)(const ScenarioParams&) = nullptr) {
+  return {name,
+          [](const util::Config& c, const std::string& key,
+             ScenarioParams& p) { read_value(c, key, Bind{}(p)); },
+          [](const ScenarioParams& p) { return format_value(Bind{}(p)); },
+          written};
+}
+
+// Model-zoo keys are written only when a model is enabled: disabled
+// scenarios keep the pre-zoo config text byte-for-byte. Snapshots embed
+// this text in their "meta" section, so snapshot bytes, the committed fig
+// goldens and checkpoints a resumed sweep reloads all stay stable.
+bool mobility_on(const ScenarioParams& p) { return p.mob.enabled(); }
+bool traffic_on(const ScenarioParams& p) { return p.traffic.enabled(); }
+
+// Every scenario key, in to_config_string's order. Anything else in a
+// config is a typo or an option meant for someone else, and apply_config
+// rejects it rather than silently running the scenario without it.
+constexpr Key kKeys[] = {
+    field("area_m", [](auto& p) -> auto& { return p.area_m; }),
+    field("node_count", [](auto& p) -> auto& { return p.node_count; }),
+    field("comm_range_m", [](auto& p) -> auto& { return p.comm_range_m; }),
+    field("min_hops", [](auto& p) -> auto& { return p.min_hops; }),
+    field("radio_a", [](auto& p) -> auto& { return p.radio.a; }),
+    field("radio_b", [](auto& p) -> auto& { return p.radio.b; }),
+    field("radio_alpha", [](auto& p) -> auto& { return p.radio.alpha; }),
+    field("radio_rx_per_bit",
+          [](auto& p) -> auto& { return p.radio.rx_per_bit; }),
+    field("k", [](auto& p) -> auto& { return p.mobility.k; }),
+    field("max_step_m", [](auto& p) -> auto& { return p.mobility.max_step_m; }),
+    field("initial_energy_j",
+          [](auto& p) -> auto& { return p.initial_energy_j; }),
+    field("random_energy", [](auto& p) -> auto& { return p.random_energy; }),
+    field("energy_lo_j", [](auto& p) -> auto& { return p.energy_lo_j; }),
+    field("energy_hi_j", [](auto& p) -> auto& { return p.energy_hi_j; }),
+    // Division by 2^13 is exact in binary floating point, so the
+    // kb <-> bits conversion round-trips losslessly.
+    {"mean_flow_kb",
+     [](const util::Config& c, const std::string& key, ScenarioParams& p) {
+       if (c.has(key)) {
+         p.mean_flow_bits = util::Bits{c.get_double(key, 0.0) * 1024.0 * 8.0};
+       }
+     },
+     [](const ScenarioParams& p) {
+       return num(p.mean_flow_bits.value() / (1024.0 * 8.0));
+     }},
+    field("packet_bits", [](auto& p) -> auto& { return p.packet_bits; }),
+    field("rate_bps", [](auto& p) -> auto& { return p.rate_bps; }),
+    field("length_estimate_factor",
+          [](auto& p) -> auto& { return p.length_estimate_factor; }),
+    field("hello_interval_s",
+          [](auto& p) -> auto& { return p.hello_interval_s; }),
+    field("warmup_s", [](auto& p) -> auto& { return p.warmup_s; }),
+    field("charge_hello_energy",
+          [](auto& p) -> auto& { return p.charge_hello_energy; }),
+    field("position_error_m",
+          [](auto& p) -> auto& { return p.position_error_m; }),
+    {"strategy",
+     [](const util::Config& c, const std::string& key, ScenarioParams& p) {
+       if (!c.has(key)) return;
+       const std::string name = c.get_string(key);
+       if (name == "min-energy" || name == "min-total-energy") {
+         p.strategy = net::StrategyId::kMinTotalEnergy;
+       } else if (name == "max-lifetime" || name == "lifetime") {
+         p.strategy = net::StrategyId::kMaxLifetime;
+       } else {
+         throw std::invalid_argument("apply_config: unknown strategy " + name);
+       }
+     },
+     [](const ScenarioParams& p) -> std::string {
+       return p.strategy == net::StrategyId::kMaxLifetime ? "max-lifetime"
+                                                          : "min-energy";
+     }},
+    field("alpha_prime", [](auto& p) -> auto& { return p.alpha_prime; }),
+    field("line_bias_weight",
+          [](auto& p) -> auto& { return p.line_bias_weight; }),
+    field("cap_bits", [](auto& p) -> auto& { return p.cap_bits; }),
+    field("paper_local_estimator",
+          [](auto& p) -> auto& { return p.paper_local_estimator; }),
+    field("exact_lifetime_split",
+          [](auto& p) -> auto& { return p.exact_lifetime_split; }),
+    field("notification_min_gap",
+          [](auto& p) -> auto& { return p.notification_min_gap; }),
+    field("recruit_margin", [](auto& p) -> auto& { return p.recruit_margin; }),
+    field("multi_flow_blending",
+          [](auto& p) -> auto& { return p.multi_flow_blending; }),
+    field("loss_rate", [](auto& p) -> auto& { return p.fault.loss_rate; }),
+    field("gilbert_elliott",
+          [](auto& p) -> auto& { return p.fault.gilbert_elliott; }),
+    field("p_good_to_bad",
+          [](auto& p) -> auto& { return p.fault.p_good_to_bad; }),
+    field("p_bad_to_good",
+          [](auto& p) -> auto& { return p.fault.p_bad_to_good; }),
+    field("loss_good", [](auto& p) -> auto& { return p.fault.loss_good; }),
+    field("loss_bad", [](auto& p) -> auto& { return p.fault.loss_bad; }),
+    field("fault_seed", [](auto& p) -> auto& { return p.fault.seed; }),
+    {"crashes",
+     [](const util::Config& c, const std::string& key, ScenarioParams& p) {
+       if (c.has(key)) p.fault.crashes = parse_crashes(c.get_string(key));
+     },
+     [](const ScenarioParams& p) { return format_crashes(p.fault.crashes); },
+     [](const ScenarioParams& p) { return !p.fault.crashes.empty(); }},
+    field("notify_retry_cap",
+          [](auto& p) -> auto& { return p.notify_retry_cap; }),
+    field("notify_retry_timeout_s",
+          [](auto& p) -> auto& { return p.notify_retry_timeout_s; }),
+    {"mobility.model",
+     [](const util::Config& c, const std::string& key, ScenarioParams& p) {
+       if (c.has(key)) p.mob.model = mob::model_from_string(c.get_string(key));
+     },
+     [](const ScenarioParams& p) -> std::string {
+       return mob::to_string(p.mob.model);
+     },
+     mobility_on},
+    field("mobility.update_s", [](auto& p) -> auto& { return p.mob.update_s; },
+          mobility_on),
+    field("mobility.speed_min_mps",
+          [](auto& p) -> auto& { return p.mob.speed_min; }, mobility_on),
+    field("mobility.speed_max_mps",
+          [](auto& p) -> auto& { return p.mob.speed_max; }, mobility_on),
+    field("mobility.pause_s", [](auto& p) -> auto& { return p.mob.pause_s; },
+          mobility_on),
+    field("mobility.gm_alpha", [](auto& p) -> auto& { return p.mob.gm_alpha; },
+          mobility_on),
+    field("mobility.gm_speed_sigma_mps",
+          [](auto& p) -> auto& { return p.mob.gm_speed_sigma; }, mobility_on),
+    field("mobility.gm_dir_sigma_rad",
+          [](auto& p) -> auto& { return p.mob.gm_dir_sigma_rad; },
+          mobility_on),
+    field("mobility.group_count",
+          [](auto& p) -> auto& { return p.mob.group_count; }, mobility_on),
+    field("mobility.group_radius_m",
+          [](auto& p) -> auto& { return p.mob.group_radius_m; }, mobility_on),
+    field("mobility.trace_file",
+          [](auto& p) -> auto& { return p.mob.trace_file; },
+          [](const ScenarioParams& p) {
+            return p.mob.enabled() && !p.mob.trace_file.empty();
+          }),
+    field("mobility.charge_energy",
+          [](auto& p) -> auto& { return p.mob.charge_energy; }, mobility_on),
+    {"traffic.model",
+     [](const util::Config& c, const std::string& key, ScenarioParams& p) {
+       if (c.has(key)) {
+         p.traffic.model = traffic::model_from_string(c.get_string(key));
+       }
+     },
+     [](const ScenarioParams& p) -> std::string {
+       return traffic::to_string(p.traffic.model);
+     },
+     traffic_on},
+    field("traffic.on_mean_s",
+          [](auto& p) -> auto& { return p.traffic.on_mean_s; }, traffic_on),
+    field("traffic.off_mean_s",
+          [](auto& p) -> auto& { return p.traffic.off_mean_s; }, traffic_on),
+    field("traffic.pareto_shape",
+          [](auto& p) -> auto& { return p.traffic.pareto_shape; }, traffic_on),
+    field("seed", [](auto& p) -> auto& { return p.seed; }),
+};
+
+}  // namespace
+
 void apply_config(const util::Config& config, ScenarioParams& params) {
   for (const std::string& key : config.keys()) {
-    if (std::find(std::begin(kScenarioKeys), std::end(kScenarioKeys), key) ==
-        std::end(kScenarioKeys)) {
+    if (std::none_of(std::begin(kKeys), std::end(kKeys),
+                     [&](const Key& k) { return k.name == key; })) {
       throw std::invalid_argument("apply_config: unknown scenario key '" +
                                   key + "'");
     }
   }
-  // This parser is the raw-double I/O boundary: every typed quantity is
-  // unwrapped with .value() for defaulting and re-wrapped on assignment.
-  using util::Bits;
-  using util::BitsPerSecond;
-  using util::Joules;
-  using util::Meters;
-  using util::Seconds;
-  params.area_m = Meters{config.get_double("area_m", params.area_m.value())};
-  read_unsigned(config, "node_count", params.node_count);
-  params.comm_range_m =
-      Meters{config.get_double("comm_range_m", params.comm_range_m.value())};
-  read_unsigned(config, "min_hops", params.min_hops);
-
-  params.radio.a = config.get_double("radio_a", params.radio.a);
-  params.radio.b = config.get_double("radio_b", params.radio.b);
-  params.radio.alpha = config.get_double("radio_alpha", params.radio.alpha);
-  params.radio.rx_per_bit =
-      config.get_double("radio_rx_per_bit", params.radio.rx_per_bit);
-  params.mobility.k = config.get_double("k", params.mobility.k);
-  params.mobility.max_step_m =
-      config.get_double("max_step_m", params.mobility.max_step_m);
-
-  params.initial_energy_j = Joules{
-      config.get_double("initial_energy_j", params.initial_energy_j.value())};
-  params.random_energy =
-      config.get_bool("random_energy", params.random_energy);
-  params.energy_lo_j =
-      Joules{config.get_double("energy_lo_j", params.energy_lo_j.value())};
-  params.energy_hi_j =
-      Joules{config.get_double("energy_hi_j", params.energy_hi_j.value())};
-
-  if (config.has("mean_flow_kb")) {
-    params.mean_flow_bits =
-        Bits{config.get_double("mean_flow_kb", 0.0) * 1024.0 * 8.0};
+  for (const Key& key : kKeys) {
+    key.read(config, std::string(key.name), params);
   }
-  params.packet_bits =
-      Bits{config.get_double("packet_bits", params.packet_bits.value())};
-  params.rate_bps =
-      BitsPerSecond{config.get_double("rate_bps", params.rate_bps.value())};
-  params.length_estimate_factor = config.get_double(
-      "length_estimate_factor", params.length_estimate_factor);
-
-  params.hello_interval_s = Seconds{
-      config.get_double("hello_interval_s", params.hello_interval_s.value())};
-  params.warmup_s =
-      Seconds{config.get_double("warmup_s", params.warmup_s.value())};
-  params.charge_hello_energy =
-      config.get_bool("charge_hello_energy", params.charge_hello_energy);
-  params.position_error_m = Meters{
-      config.get_double("position_error_m", params.position_error_m.value())};
-
-  if (config.has("strategy")) {
-    const std::string name = config.get_string("strategy");
-    if (name == "min-energy" || name == "min-total-energy") {
-      params.strategy = net::StrategyId::kMinTotalEnergy;
-    } else if (name == "max-lifetime" || name == "lifetime") {
-      params.strategy = net::StrategyId::kMaxLifetime;
-    } else {
-      throw std::invalid_argument("apply_config: unknown strategy " + name);
-    }
-  }
-  params.alpha_prime = config.get_double("alpha_prime", params.alpha_prime);
-  params.line_bias_weight =
-      config.get_double("line_bias_weight", params.line_bias_weight);
-  params.cap_bits = config.get_bool("cap_bits", params.cap_bits);
-  params.paper_local_estimator = config.get_bool(
-      "paper_local_estimator", params.paper_local_estimator);
-  params.exact_lifetime_split = config.get_bool(
-      "exact_lifetime_split", params.exact_lifetime_split);
-  read_unsigned(config, "notification_min_gap", params.notification_min_gap);
-  params.recruit_margin =
-      config.get_double("recruit_margin", params.recruit_margin);
-  params.multi_flow_blending =
-      config.get_bool("multi_flow_blending", params.multi_flow_blending);
-
-  params.fault.loss_rate =
-      config.get_double("loss_rate", params.fault.loss_rate);
-  params.fault.gilbert_elliott =
-      config.get_bool("gilbert_elliott", params.fault.gilbert_elliott);
-  params.fault.p_good_to_bad =
-      config.get_double("p_good_to_bad", params.fault.p_good_to_bad);
-  params.fault.p_bad_to_good =
-      config.get_double("p_bad_to_good", params.fault.p_bad_to_good);
-  params.fault.loss_good =
-      config.get_double("loss_good", params.fault.loss_good);
-  params.fault.loss_bad = config.get_double("loss_bad", params.fault.loss_bad);
-  read_unsigned(config, "fault_seed", params.fault.seed);
-  if (config.has("crashes")) {
-    params.fault.crashes = parse_crashes(config.get_string("crashes"));
-  }
-  read_unsigned(config, "notify_retry_cap", params.notify_retry_cap);
-  params.notify_retry_timeout_s = Seconds{config.get_double(
-      "notify_retry_timeout_s", params.notify_retry_timeout_s.value())};
-
-  // Background mobility / traffic models (DESIGN.md §14). Absent keys keep
-  // the disabled/legacy defaults, so pre-zoo scenario files parse to
-  // byte-identical ScenarioParams.
-  if (config.has("mobility.model")) {
-    params.mob.model = mob::model_from_string(config.get_string(
-        "mobility.model"));
-  }
-  params.mob.update_s = Seconds{
-      config.get_double("mobility.update_s", params.mob.update_s.value())};
-  params.mob.speed_min = util::MetersPerSecond{config.get_double(
-      "mobility.speed_min_mps", params.mob.speed_min.value())};
-  params.mob.speed_max = util::MetersPerSecond{config.get_double(
-      "mobility.speed_max_mps", params.mob.speed_max.value())};
-  params.mob.pause_s = Seconds{
-      config.get_double("mobility.pause_s", params.mob.pause_s.value())};
-  params.mob.gm_alpha =
-      config.get_double("mobility.gm_alpha", params.mob.gm_alpha);
-  params.mob.gm_speed_sigma = util::MetersPerSecond{config.get_double(
-      "mobility.gm_speed_sigma_mps", params.mob.gm_speed_sigma.value())};
-  params.mob.gm_dir_sigma_rad = config.get_double(
-      "mobility.gm_dir_sigma_rad", params.mob.gm_dir_sigma_rad);
-  read_unsigned(config, "mobility.group_count", params.mob.group_count);
-  params.mob.group_radius_m = Meters{config.get_double(
-      "mobility.group_radius_m", params.mob.group_radius_m.value())};
-  if (config.has("mobility.trace_file")) {
-    params.mob.trace_file = config.get_string("mobility.trace_file");
-  }
-  params.mob.charge_energy =
-      config.get_bool("mobility.charge_energy", params.mob.charge_energy);
-
-  if (config.has("traffic.model")) {
-    params.traffic.model = traffic::model_from_string(config.get_string(
-        "traffic.model"));
-  }
-  params.traffic.on_mean_s = Seconds{config.get_double(
-      "traffic.on_mean_s", params.traffic.on_mean_s.value())};
-  params.traffic.off_mean_s = Seconds{config.get_double(
-      "traffic.off_mean_s", params.traffic.off_mean_s.value())};
-  params.traffic.pareto_shape = config.get_double(
-      "traffic.pareto_shape", params.traffic.pareto_shape);
-
-  read_unsigned(config, "seed", params.seed);
 }
 
 std::string to_config_string(const ScenarioParams& p) {
-  std::ostringstream os;
-  os << "area_m = " << num(p.area_m.value()) << "\n"
-     << "node_count = " << p.node_count << "\n"
-     << "comm_range_m = " << num(p.comm_range_m.value()) << "\n"
-     << "min_hops = " << p.min_hops << "\n"
-     << "radio_a = " << num(p.radio.a) << "\n"
-     << "radio_b = " << num(p.radio.b) << "\n"
-     << "radio_alpha = " << num(p.radio.alpha) << "\n"
-     << "radio_rx_per_bit = " << num(p.radio.rx_per_bit) << "\n"
-     << "k = " << num(p.mobility.k) << "\n"
-     << "max_step_m = " << num(p.mobility.max_step_m) << "\n"
-     << "initial_energy_j = " << num(p.initial_energy_j.value()) << "\n"
-     << "random_energy = " << (p.random_energy ? "true" : "false") << "\n"
-     << "energy_lo_j = " << num(p.energy_lo_j.value()) << "\n"
-     << "energy_hi_j = " << num(p.energy_hi_j.value()) << "\n"
-     // Division by 2^13 is exact in binary floating point, so the
-     // kb <-> bits conversion round-trips losslessly.
-     << "mean_flow_kb = " << num(p.mean_flow_bits.value() / (1024.0 * 8.0))
-     << "\n"
-     << "packet_bits = " << num(p.packet_bits.value()) << "\n"
-     << "rate_bps = " << num(p.rate_bps.value()) << "\n"
-     << "length_estimate_factor = " << num(p.length_estimate_factor) << "\n"
-     << "hello_interval_s = " << num(p.hello_interval_s.value()) << "\n"
-     << "warmup_s = " << num(p.warmup_s.value()) << "\n"
-     << "charge_hello_energy = "
-     << (p.charge_hello_energy ? "true" : "false") << "\n"
-     << "position_error_m = " << num(p.position_error_m.value()) << "\n"
-     << "strategy = "
-     << (p.strategy == net::StrategyId::kMaxLifetime ? "max-lifetime"
-                                                     : "min-energy")
-     << "\n"
-     << "alpha_prime = " << num(p.alpha_prime) << "\n"
-     << "line_bias_weight = " << num(p.line_bias_weight) << "\n"
-     << "cap_bits = " << (p.cap_bits ? "true" : "false") << "\n"
-     << "paper_local_estimator = "
-     << (p.paper_local_estimator ? "true" : "false") << "\n"
-     << "exact_lifetime_split = "
-     << (p.exact_lifetime_split ? "true" : "false") << "\n"
-     << "notification_min_gap = " << p.notification_min_gap << "\n"
-     << "recruit_margin = " << num(p.recruit_margin) << "\n"
-     << "multi_flow_blending = "
-     << (p.multi_flow_blending ? "true" : "false") << "\n"
-     << "loss_rate = " << num(p.fault.loss_rate) << "\n"
-     << "gilbert_elliott = " << (p.fault.gilbert_elliott ? "true" : "false")
-     << "\n"
-     << "p_good_to_bad = " << num(p.fault.p_good_to_bad) << "\n"
-     << "p_bad_to_good = " << num(p.fault.p_bad_to_good) << "\n"
-     << "loss_good = " << num(p.fault.loss_good) << "\n"
-     << "loss_bad = " << num(p.fault.loss_bad) << "\n"
-     << "fault_seed = " << p.fault.seed << "\n";
-  if (!p.fault.crashes.empty()) {
-    os << "crashes = " << format_crashes(p.fault.crashes) << "\n";
+  std::string out;
+  for (const Key& key : kKeys) {
+    if (key.written != nullptr && !key.written(p)) continue;
+    out.append(key.name).append(" = ").append(key.write(p)).append("\n");
   }
-  os << "notify_retry_cap = " << p.notify_retry_cap << "\n"
-     << "notify_retry_timeout_s = " << num(p.notify_retry_timeout_s.value())
-     << "\n";
-  // Model-zoo keys are emitted only when a model is enabled: disabled
-  // scenarios keep the pre-zoo config text byte-for-byte. Snapshots embed
-  // this string in their "meta" section, so snapshot bytes, the committed
-  // fig goldens and checkpoints a resumed sweep reloads all stay stable.
-  if (p.mob.enabled()) {
-    os << "mobility.model = " << mob::to_string(p.mob.model) << "\n"
-       << "mobility.update_s = " << num(p.mob.update_s.value()) << "\n"
-       << "mobility.speed_min_mps = " << num(p.mob.speed_min.value()) << "\n"
-       << "mobility.speed_max_mps = " << num(p.mob.speed_max.value()) << "\n"
-       << "mobility.pause_s = " << num(p.mob.pause_s.value()) << "\n"
-       << "mobility.gm_alpha = " << num(p.mob.gm_alpha) << "\n"
-       << "mobility.gm_speed_sigma_mps = " << num(p.mob.gm_speed_sigma.value())
-       << "\n"
-       << "mobility.gm_dir_sigma_rad = " << num(p.mob.gm_dir_sigma_rad)
-       << "\n"
-       << "mobility.group_count = " << p.mob.group_count << "\n"
-       << "mobility.group_radius_m = " << num(p.mob.group_radius_m.value())
-       << "\n";
-    if (!p.mob.trace_file.empty()) {
-      os << "mobility.trace_file = " << p.mob.trace_file << "\n";
-    }
-    os << "mobility.charge_energy = "
-       << (p.mob.charge_energy ? "true" : "false") << "\n";
-  }
-  if (p.traffic.enabled()) {
-    os << "traffic.model = " << traffic::to_string(p.traffic.model) << "\n"
-       << "traffic.on_mean_s = " << num(p.traffic.on_mean_s.value()) << "\n"
-       << "traffic.off_mean_s = " << num(p.traffic.off_mean_s.value()) << "\n"
-       << "traffic.pareto_shape = " << num(p.traffic.pareto_shape) << "\n";
-  }
-  os << "seed = " << p.seed << "\n";
-  return os.str();
+  return out;
 }
 
 }  // namespace imobif::exp

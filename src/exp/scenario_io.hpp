@@ -13,8 +13,9 @@ namespace imobif::exp {
 
 /// Overrides fields of `params` from config keys (absent keys keep their
 /// current value). Throws std::invalid_argument naming the first key that
-/// is not a scenario key; the recognized keys are listed once, in
-/// kScenarioKeys in scenario_io.cpp.
+/// is not a scenario key. The keys are one table, kKeys in scenario_io.cpp:
+/// a row names a key, binds its field and says when it is written, so
+/// adding a key is adding a row.
 void apply_config(const util::Config& config, ScenarioParams& params);
 
 /// Human-readable dump of every scenario field (one `key = value` line

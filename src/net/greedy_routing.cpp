@@ -77,7 +77,7 @@ std::vector<NodeId> greedy_path_oracle(const Medium& medium, NodeId source,
     const double cur_dist = geom::distance(cur_pos, dest_pos);
     NodeId best = kInvalidNode;
     double best_dist = cur_dist;
-    // Candidates come from the grid, not an all_nodes() scan. The query
+    // Candidates come from the grid, not a scan of every node. The query
     // radius carries a relative pad so the grid's squared-distance cut
     // can never exclude a point the exact linear check below admits; ties
     // in remaining distance break to the lowest id, which reproduces the

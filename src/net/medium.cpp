@@ -22,7 +22,6 @@ void Medium::attach(Node& node) {
     throw std::invalid_argument("Medium: duplicate node id");
   }
   if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
-  nodes_.push_back(&node);
   by_id_[id] = &node;
   index_.insert(id, node.position());
 }

@@ -83,8 +83,8 @@ class Medium {
   void node_moved(NodeId id, geom::Vec2 new_position);
 
   Node* find_node(NodeId id) const;
-  std::size_t node_count() const { return nodes_.size(); }
-  const std::vector<Node*>& all_nodes() const { return nodes_; }
+  /// One past the highest attached id (ids are dense in practice).
+  std::size_t node_count() const { return by_id_.size(); }
 
   /// Ground-truth position (GPS oracle). Throws for unknown ids.
   geom::Vec2 true_position(NodeId id) const;
@@ -95,7 +95,7 @@ class Medium {
 
   /// The spatial index over attached nodes — the one neighbor-discovery
   /// path (DESIGN.md §12); routing oracles query it instead of scanning
-  /// all_nodes().
+  /// every node.
   const GridIndex& grid() const { return index_; }
 
   /// Delivers to every live node in range of the sender (HELLO beacons).
@@ -152,7 +152,6 @@ class Medium {
 
   sim::Simulator& sim_;
   MediumConfig config_;
-  std::vector<Node*> nodes_;
   /// Dense id -> node table (ids are dense in practice; sparse ids cost
   /// vector slack, not correctness). One array read on the per-recipient
   /// broadcast path where a hash lookup used to be.

@@ -23,23 +23,16 @@ using util::Seconds;
 Network::Network(NetworkConfig config)
     : config_(config),
       radio_(config.radio),
-      medium_(sim_, config.medium) {
+      medium_(sim_, config.medium),
+      services_{.sim = &sim_,
+                .medium = &medium_,
+                .radio = &radio_,
+                .events = this,
+                .store = &store_} {
   sim_.set_sink(this);
 }
 
 Network::~Network() = default;
-
-Node::Services Network::services() {
-  Node::Services s;
-  s.sim = &sim_;
-  s.medium = &medium_;
-  s.radio = &radio_;
-  s.routing = routing_.get();
-  s.policy = policy_;
-  s.events = this;
-  s.store = &store_;
-  return s;
-}
 
 Node& Network::add_node(geom::Vec2 position, Joules initial_energy) {
   const auto id = static_cast<NodeId>(nodes_.size());
@@ -47,7 +40,7 @@ Node& Network::add_node(geom::Vec2 position, Joules initial_energy) {
       store_.add(position, initial_energy);
   IMOBIF_ASSERT(slot == id, "NodeStore slots must track dense node ids");
   nodes_.push_back(std::make_unique<Node>(id, position, initial_energy,
-                                          services(), config_.node));
+                                          services_, config_.node));
   medium_.attach(*nodes_.back());
   return *nodes_.back();
 }
@@ -62,22 +55,12 @@ const Node& Network::node(NodeId id) const {
   return *nodes_[id];
 }
 
-namespace {
-// Services are captured by value inside each Node at construction; when the
-// routing protocol or policy is installed later, refresh them. Node exposes
-// services() as const ref only, so Network re-creates nodes' service
-// bindings through a dedicated hook.
-}  // namespace
-
 void Network::set_routing(std::unique_ptr<RoutingProtocol> routing) {
   routing_ = std::move(routing);
-  for (auto& n : nodes_) n->rebind_services(services());
+  services_.routing = routing_.get();
 }
 
-void Network::set_policy(MobilityPolicy* policy) {
-  policy_ = policy;
-  for (auto& n : nodes_) n->rebind_services(services());
-}
+void Network::set_policy(MobilityPolicy* policy) { services_.policy = policy; }
 
 void Network::start_hellos() {
   for (auto& n : nodes_) n->start_hello();

@@ -219,7 +219,6 @@ class Network : public NetworkEvents, public sim::EventSink {
   /// Inter-packet gap for the next emission: the CBR base interval,
   /// shaped by the flow's generator when one is installed.
   util::Seconds emission_interval(FlowId id, const FlowSpec& spec);
-  Node::Services services();
 
   NetworkConfig config_;
   // snap:derived(Simulator::restore_clock)
@@ -228,7 +227,10 @@ class Network : public NetworkEvents, public sim::EventSink {
   NodeStore store_;
   Medium medium_;
   std::unique_ptr<RoutingProtocol> routing_;
-  MobilityPolicy* policy_ = nullptr;
+  /// The wiring every node points at (Node::Services): set_routing and
+  /// set_policy update it in place, so installing either reaches all nodes.
+  // snap:transient(non-owning wiring, rebuilt with the network by create_shell)
+  Node::Services services_;
   NetworkEvents* tap_ = nullptr;
   sim::EventSink* motion_sink_ = nullptr;
   // snap:derived(add_node)

@@ -45,30 +45,31 @@ void NetworkEvents::on_drop(Node&, PacketType, DropReason) {}
 void NetworkEvents::on_recruited(Node&, const RecruitBody&) {}
 
 Node::Node(NodeId id, geom::Vec2 position, Joules initial_energy,
-           Services services, NodeConfig config)
+           const Services& services, const NodeConfig& config)
     : id_(id),
       battery_(initial_energy),
       neighbors_(config.neighbor_timeout),
-      services_(services),
-      config_(config) {
-  if (services_.sim == nullptr || services_.medium == nullptr ||
-      services_.radio == nullptr) {
-    throw std::invalid_argument("Node: sim, medium and radio are required");
+      services_(&services),
+      config_(&config) {
+  if (services.sim == nullptr || services.medium == nullptr ||
+      services.radio == nullptr || services.events == nullptr) {
+    throw std::invalid_argument(
+        "Node: sim, medium, radio and events are required");
   }
-  if (services_.store == nullptr || !services_.store->has(id_)) {
+  if (services.store == nullptr || !services.store->has(id_)) {
     throw std::invalid_argument("Node: a NodeStore slot for the id is "
                                 "required");
   }
-  pos_cell_ = services_.store->position_cell(id_);
+  pos_cell_ = services.store->position_cell(id_);
   *pos_cell_ = position;
-  battery_.bind_residual_cell(services_.store->residual_cell(id_));
+  battery_.bind_residual_cell(services.store->residual_cell(id_));
   battery_.set_depletion_callback([this] {
     stop_hello();
-    if (services_.events != nullptr) services_.events->on_node_depleted(*this);
+    services_->events->on_node_depleted(*this);
   });
 }
 
-sim::Time Node::now() const { return services_.sim->now(); }
+sim::Time Node::now() const { return services_->sim->now(); }
 
 void Node::set_faulted(bool faulted) {
   if (faulted_ == faulted) return;
@@ -82,11 +83,11 @@ void Node::set_faulted(bool faulted) {
 
 void Node::set_position(geom::Vec2 p) {
   pos() = p;
-  services_.medium->node_moved(id_, p);
+  services_->medium->node_moved(id_, p);
 }
 
 geom::Vec2 Node::advertised_position() const {
-  if (config_.position_error_m <= Meters{0.0}) return pos();
+  if (config_->position_error_m <= Meters{0.0}) return pos();
   // Localization error is a slowly varying per-node *bias*, not white
   // noise: multilateration against quasi-static references drifts over
   // re-localization periods, so the offset is re-drawn once per 100 s
@@ -102,7 +103,7 @@ geom::Vec2 Node::advertised_position() const {
   const double u2 = static_cast<double>(util::splitmix64(state) >> 11) *
                     0x1.0p-53;
   const double angle = 2.0 * M_PI * u1;
-  const double radius = config_.position_error_m.value() * std::sqrt(u2);
+  const double radius = config_->position_error_m.value() * std::sqrt(u2);
   return pos() +
          geom::Vec2{radius * std::cos(angle), radius * std::sin(angle)};
 }
@@ -125,29 +126,29 @@ void Node::start_hello() {
   const std::uint64_t hash = util::splitmix64(h);
   const auto phase_ticks = static_cast<std::int64_t>(
       hash % static_cast<std::uint64_t>(
-                 std::max<std::int64_t>(1, config_.hello_interval.ticks())));
-  hello_event_ = services_.sim->after(sim::Time::from_ticks(phase_ticks),
-                                      sim::EventTag::hello_tick(id_));
+                 std::max<std::int64_t>(1, config_->hello_interval.ticks())));
+  hello_event_ = services_->sim->after(sim::Time::from_ticks(phase_ticks),
+                                       sim::EventTag::hello_tick(id_));
 }
 
 void Node::stop_hello() {
   if (hello_event_ != 0) {
-    services_.sim->cancel(hello_event_);
+    services_->sim->cancel(hello_event_);
     hello_event_ = 0;
   }
 }
 
 void Node::send_hello_now() {
   if (!alive() || faulted_) return;
-  Packet pkt = stamp(PacketType::kHello, kBroadcast, config_.hello_bits);
+  Packet pkt = stamp(PacketType::kHello, kBroadcast, config_->hello_bits);
   pkt.body = HelloBody{};
-  if (config_.charge_hello_energy) {
-    const Joules cost = services_.radio->transmit_energy(
-        services_.medium->comm_range(), config_.hello_bits);
+  if (config_->charge_hello_energy) {
+    const Joules cost = services_->radio->transmit_energy(
+        services_->medium->comm_range(), config_->hello_bits);
     const Joules drawn = battery_.draw(cost, energy::DrawKind::kTransmit);
     if (drawn + Joules{1e-15} < cost) return;  // died mid-beacon
   }
-  services_.medium->broadcast(*this, pkt);
+  services_->medium->broadcast(*this, pkt);
 }
 
 void Node::hello_tick() {
@@ -156,8 +157,8 @@ void Node::hello_tick() {
   send_hello_now();
   neighbors_.purge(now());
   if (!alive()) return;  // beacon cost may have finished the battery
-  hello_event_ = services_.sim->after(config_.hello_interval,
-                                      sim::EventTag::hello_tick(id_));
+  hello_event_ = services_->sim->after(config_->hello_interval,
+                                       sim::EventTag::hello_tick(id_));
 }
 
 NeighborInfo Node::lookup(NodeId other) const {
@@ -166,7 +167,7 @@ NeighborInfo Node::lookup(NodeId other) const {
   // truth, energy unknown (reported as 0).
   NeighborInfo info;
   info.id = other;
-  info.position = services_.medium->true_position(other);
+  info.position = services_->medium->true_position(other);
   info.residual_energy = Joules{0.0};
   info.last_heard = now();
   return info;
@@ -177,19 +178,17 @@ bool Node::transmit(Packet pkt, NodeId next, geom::Vec2 next_position) {
   // Perfect power control (Assumption 4, hardware-support path): the
   // radio pays exactly the energy needed to reach the next hop's true
   // position; the caller's estimate is the fallback for unknown nodes.
-  const Node* peer = services_.medium->find_node(next);
+  const Node* peer = services_->medium->find_node(next);
   const geom::Vec2 actual =
       peer != nullptr ? peer->position() : next_position;
   const Meters dist{geom::distance(pos(), actual)};
-  const Joules cost = services_.radio->transmit_energy(dist, pkt.size_bits);
+  const Joules cost = services_->radio->transmit_energy(dist, pkt.size_bits);
   const Joules drawn = battery_.draw(cost, energy::DrawKind::kTransmit);
   if (drawn + Joules{1e-15} < cost) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, pkt.type, DropReason::kNoEnergy);
-    }
+    services_->events->on_drop(*this, pkt.type, DropReason::kNoEnergy);
     return false;
   }
-  return services_.medium->unicast(*this, next, pkt);
+  return services_->medium->unicast(*this, next, pkt);
 }
 
 Meters Node::move_towards(geom::Vec2 target, Meters max_step,
@@ -214,7 +213,7 @@ Meters Node::move_towards(geom::Vec2 target, Meters max_step,
   pos() = desired;
   IMOBIF_ASSERT(std::isfinite(desired.x) && std::isfinite(desired.y),
                 "node position must stay finite after a mobility step");
-  services_.medium->node_moved(id_, desired);
+  services_->medium->node_moved(id_, desired);
   total_moved_ += dist;
   return dist;
 }
@@ -233,47 +232,38 @@ bool Node::originate_data(DataBody data) {
   entry.strategy = data.strategy;
   entry.residual_bits = data.residual_flow_bits;
 
-  if (entry.next == kInvalidNode && services_.routing != nullptr) {
-    entry.next = services_.routing->next_hop(*this, data.destination);
+  if (entry.next == kInvalidNode && services_->routing != nullptr) {
+    entry.next = services_->routing->next_hop(*this, data.destination);
   }
   if (entry.next == kInvalidNode) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, PacketType::kData,
-                                DropReason::kNoRoute);
-    }
+    services_->events->on_drop(*this, PacketType::kData, DropReason::kNoRoute);
     return false;
   }
-  if (services_.policy != nullptr) {
-    services_.policy->seed_at_source(*this, data, entry);
+  if (services_->policy != nullptr) {
+    services_->policy->seed_at_source(*this, data, entry);
   }
   return forward_with_repair(data, entry);
 }
 
 void Node::handle_receive(const Packet& pkt) {
   if (!alive()) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, pkt.type, DropReason::kDeadNode);
-    }
+    services_->events->on_drop(*this, pkt.type, DropReason::kDeadNode);
     return;
   }
   // In-flight packets scheduled before a crash arrive after it took
   // effect; a crashed radio hears nothing.
   if (faulted_) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, pkt.type, DropReason::kFaulted);
-    }
+    services_->events->on_drop(*this, pkt.type, DropReason::kFaulted);
     return;
   }
   // Receive electronics (0 under the paper's sender-pays model). Drawing
   // may deplete the battery; a node that dies *receiving* still processed
   // the packet's bits, so handling proceeds only if it survives.
-  const Joules rx_cost = services_.radio->receive_energy(pkt.size_bits);
+  const Joules rx_cost = services_->radio->receive_energy(pkt.size_bits);
   if (rx_cost > Joules{0.0}) {
     battery_.draw(rx_cost, energy::DrawKind::kOther);
     if (!alive()) {
-      if (services_.events != nullptr) {
-        services_.events->on_drop(*this, pkt.type, DropReason::kNoEnergy);
-      }
+      services_->events->on_drop(*this, pkt.type, DropReason::kNoEnergy);
       return;
     }
   }
@@ -293,8 +283,8 @@ void Node::handle_receive(const Packet& pkt) {
       break;
     case PacketType::kRouteRequest:
     case PacketType::kRouteReply:
-      if (services_.routing != nullptr) {
-        services_.routing->handle_control(*this, pkt);
+      if (services_->routing != nullptr) {
+        services_->routing->handle_control(*this, pkt);
       }
       break;
     case PacketType::kRecruit:
@@ -315,9 +305,7 @@ void Node::handle_recruit(const RecruitBody& body) {
   entry.strategy = body.strategy;
   entry.residual_bits = body.residual_flow_bits;
   entry.mobility_enabled = body.mobility_enabled;
-  if (services_.events != nullptr) {
-    services_.events->on_recruited(*this, body);
-  }
+  services_->events->on_recruited(*this, body);
 }
 
 void Node::handle_data(DataBody data, const SenderStamp& from) {
@@ -342,9 +330,7 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
 
   if (data.destination == id_) {
     // Figure 1, lines 7-11: deliver and run UpdateMobilityStatus.
-    if (services_.events != nullptr) {
-      services_.events->on_delivered(*this, data);
-    }
+    services_->events->on_delivered(*this, data);
     // Reliability layer: the source's stamped status now reflects the
     // pending request — the flip is confirmed, stop retransmitting.
     if (entry.pending_status.has_value() &&
@@ -353,9 +339,9 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
       entry.notify_attempts = 0;
       cancel_notify_retry(entry);
     }
-    if (services_.policy != nullptr) {
+    if (services_->policy != nullptr) {
       const std::optional<bool> change =
-          services_.policy->evaluate_at_destination(*this, data, entry);
+          services_->policy->evaluate_at_destination(*this, data, entry);
       if (change.has_value()) send_notification(entry, *change, data.agg);
     }
     entry.mobility_enabled = data.mobility_enabled;
@@ -363,27 +349,24 @@ void Node::handle_data(DataBody data, const SenderStamp& from) {
   }
 
   // Figure 1, lines 12-27: relay.
-  if (entry.next == kInvalidNode && services_.routing != nullptr) {
-    entry.next = services_.routing->next_hop(*this, data.destination);
+  if (entry.next == kInvalidNode && services_->routing != nullptr) {
+    entry.next = services_->routing->next_hop(*this, data.destination);
   }
   if (entry.next == kInvalidNode) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, PacketType::kData,
-                                DropReason::kNoRoute);
-    }
+    services_->events->on_drop(*this, PacketType::kData, DropReason::kNoRoute);
     return;
   }
   ++entry.packets_relayed;
-  if (services_.policy != nullptr) {
-    services_.policy->on_relay(*this, data, entry);
+  if (services_->policy != nullptr) {
+    services_->policy->on_relay(*this, data, entry);
   }
   ++data.hop_count;
   const bool sent = forward_with_repair(data, entry);
 
   // Figure 1, lines 23-26: adopt the carried status, then move if enabled.
   entry.mobility_enabled = data.mobility_enabled;
-  if (sent && alive() && services_.policy != nullptr) {
-    services_.policy->after_forward(*this, entry);
+  if (sent && alive() && services_->policy != nullptr) {
+    services_->policy->after_forward(*this, entry);
   }
 }
 
@@ -396,15 +379,12 @@ bool Node::forward_with_repair(const DataBody& data, FlowEntry& entry) {
   // Local repair: the link layer reported a delivery failure (typically a
   // dead next hop). Re-resolve the route once, excluding nothing but what
   // the routing protocol itself skips, and retry.
-  if (!alive() || services_.routing == nullptr) return false;
+  if (!alive() || services_->routing == nullptr) return false;
   const NodeId failed = entry.next;
   const NodeId repaired =
-      services_.routing->next_hop(*this, data.destination);
+      services_->routing->next_hop(*this, data.destination);
   if (repaired == kInvalidNode || repaired == failed) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, PacketType::kData,
-                                DropReason::kNoRoute);
-    }
+    services_->events->on_drop(*this, PacketType::kData, DropReason::kNoRoute);
     return false;
   }
   entry.next = repaired;
@@ -424,8 +404,8 @@ void Node::send_notification(FlowEntry& entry, bool enable,
   entry.notify_attempts = 0;
   entry.notify_agg = agg;
   entry.pending_status =
-      config_.notify_retry_cap > 0 ? std::optional<bool>(enable)
-                                   : std::nullopt;
+      config_->notify_retry_cap > 0 ? std::optional<bool>(enable)
+                                    : std::nullopt;
 
   NotificationBody body;
   body.flow_id = entry.id;
@@ -434,11 +414,9 @@ void Node::send_notification(FlowEntry& entry, bool enable,
   body.agg = agg;
   body.decision_seq = entry.notify_decision_seq;
   body.attempt = 0;
-  if (services_.events != nullptr) {
-    services_.events->on_notification_initiated(*this, body);
-  }
-  Packet pkt =
-      stamp(PacketType::kNotification, entry.prev, config_.notification_bits);
+  services_->events->on_notification_initiated(*this, body);
+  Packet pkt = stamp(PacketType::kNotification, entry.prev,
+                     config_->notification_bits);
   pkt.body = body;
   transmit(std::move(pkt), entry.prev, lookup(entry.prev).position);
   schedule_notify_retry(entry);
@@ -453,11 +431,9 @@ void Node::transmit_notification(FlowEntry& entry) {
   body.decision_seq = entry.notify_decision_seq;
   body.attempt = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(entry.notify_attempts, 255));
-  if (services_.events != nullptr) {
-    services_.events->on_notification_retry(*this, body);
-  }
-  Packet pkt =
-      stamp(PacketType::kNotification, entry.prev, config_.notification_bits);
+  services_->events->on_notification_retry(*this, body);
+  Packet pkt = stamp(PacketType::kNotification, entry.prev,
+                     config_->notification_bits);
   pkt.body = body;
   transmit(std::move(pkt), entry.prev, lookup(entry.prev).position);
   schedule_notify_retry(entry);
@@ -480,10 +456,10 @@ void Node::notify_retry_tick(FlowId flow) {
 }
 
 void Node::schedule_notify_retry(FlowEntry& entry) {
-  if (config_.notify_retry_cap == 0 || !entry.pending_status.has_value()) {
+  if (config_->notify_retry_cap == 0 || !entry.pending_status.has_value()) {
     return;
   }
-  if (entry.notify_attempts >= config_.notify_retry_cap) {
+  if (entry.notify_attempts >= config_->notify_retry_cap) {
     // Retry cap hit: give up gracefully. The request stays un-applied and
     // the destination may issue a fresh decision on a later packet.
     entry.pending_status.reset();
@@ -494,8 +470,8 @@ void Node::schedule_notify_retry(FlowEntry& entry) {
   const int shift = static_cast<int>(std::min<std::uint32_t>(
       entry.notify_attempts, 16));
   const sim::Time delay =
-      sim::Time::from_ticks(config_.notify_retry_timeout.ticks() << shift);
-  entry.notify_retry_event = services_.sim->after(
+      sim::Time::from_ticks(config_->notify_retry_timeout.ticks() << shift);
+  entry.notify_retry_event = services_->sim->after(
       delay, sim::EventTag::notify_retry(id_, entry.id));
 }
 
@@ -509,7 +485,7 @@ void Node::adopt_event(const sim::EventTag& tag, sim::EventId id) {
 
 void Node::cancel_notify_retry(FlowEntry& entry) {
   if (entry.notify_retry_event != 0) {
-    services_.sim->cancel(entry.notify_retry_event);
+    services_->sim->cancel(entry.notify_retry_event);
     entry.notify_retry_event = 0;
   }
 }
@@ -517,10 +493,8 @@ void Node::cancel_notify_retry(FlowEntry& entry) {
 void Node::handle_notification(NotificationBody body) {
   FlowEntry* entry = flows_.find(body.flow_id);
   if (entry == nullptr) {
-    if (services_.events != nullptr) {
-      services_.events->on_drop(*this, PacketType::kNotification,
-                                DropReason::kUnknownFlow);
-    }
+    services_->events->on_drop(*this, PacketType::kNotification,
+                               DropReason::kUnknownFlow);
     return;
   }
   if (body.flow_source == id_) {
@@ -529,10 +503,8 @@ void Node::handle_notification(NotificationBody body) {
     // ignored so the status can only move forward, never flip back.
     if (body.decision_seq != 0 &&
         body.decision_seq <= entry->notify_applied_seq) {
-      if (services_.events != nullptr) {
-        services_.events->on_drop(*this, PacketType::kNotification,
-                                  DropReason::kStaleNotify);
-      }
+      services_->events->on_drop(*this, PacketType::kNotification,
+                                DropReason::kStaleNotify);
       return;
     }
     // Unstamped (legacy) notifications bypass the filter without
@@ -541,14 +513,12 @@ void Node::handle_notification(NotificationBody body) {
     // Source updates the flow's mobility status; the next data packet
     // carries it to every node on the path.
     entry->mobility_enabled = body.enable;
-    if (services_.events != nullptr) {
-      services_.events->on_notification_at_source(*this, body);
-    }
+    services_->events->on_notification_at_source(*this, body);
     return;
   }
   if (entry->prev == kInvalidNode) return;  // path broke upstream
-  Packet pkt =
-      stamp(PacketType::kNotification, entry->prev, config_.notification_bits);
+  Packet pkt = stamp(PacketType::kNotification, entry->prev,
+                     config_->notification_bits);
   pkt.body = body;
   transmit(std::move(pkt), entry->prev, lookup(entry->prev).position);
 }

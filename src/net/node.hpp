@@ -55,7 +55,7 @@ class NetworkEvents {
   virtual void on_recruited(Node& recruit, const RecruitBody& body);
 };
 
-// snap:transient(per-node config, persisted wholesale as scenario text)
+// snap:transient(node settings, persisted wholesale as scenario text)
 struct NodeConfig {
   sim::Time hello_interval = sim::Time::from_seconds(10.0);
   sim::Time hello_jitter = sim::Time::from_seconds(1.0);
@@ -85,7 +85,10 @@ struct NodeConfig {
 
 class Node {
  public:
-  // snap:transient(non-owning wiring re-established by rebind_services during create_shell)
+  /// The network's wiring, one record shared by all of its nodes (the
+  /// network owns it; see Network). Routing and policy may be null; the
+  /// rest are required.
+  // snap:transient(non-owning wiring, rebuilt with the network by create_shell)
   struct Services {
     sim::Simulator* sim = nullptr;
     Medium* medium = nullptr;
@@ -93,14 +96,16 @@ class Node {
     RoutingProtocol* routing = nullptr;
     MobilityPolicy* policy = nullptr;
     NetworkEvents* events = nullptr;
-    /// Struct-of-arrays hot-state store (DESIGN.md §12). Required: it must
-    /// hold a slot for this node's id, where the node's position and
-    /// residual energy live.
+    /// Struct-of-arrays hot-state store (DESIGN.md §12). It must hold a
+    /// slot for this node's id, where the node's position and residual
+    /// energy live.
     NodeStore* store = nullptr;
   };
 
+  /// `services` and `config` are the network's shared records; the node
+  /// keeps pointers to them, so both must outlive it.
   Node(NodeId id, geom::Vec2 position, util::Joules initial_energy,
-       Services services, NodeConfig config = {});
+       const Services& services, const NodeConfig& config);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -124,13 +129,8 @@ class Node {
   const NeighborTable& neighbors() const { return neighbors_; }
   FlowTable& flows() { return flows_; }
   const FlowTable& flows() const { return flows_; }
-  const NodeConfig& config() const { return config_; }
-  const energy::RadioEnergyModel& radio() const { return *services_.radio; }
-  const Services& services() const { return services_; }
-
-  /// Refreshes service bindings after the network installs a routing
-  /// protocol or mobility policy post-construction.
-  void rebind_services(Services services) { services_ = services; }
+  const NodeConfig& config() const { return *config_; }
+  const energy::RadioEnergyModel& radio() const { return *services_->radio; }
 
   /// Starts (or restarts) periodic HELLO beaconing with a random-free
   /// deterministic phase derived from the node id.
@@ -213,10 +213,8 @@ class Node {
   energy::Battery battery_;
   NeighborTable neighbors_;
   FlowTable flows_;
-  // snap:transient(non-owning wiring re-established by rebind_services during create_shell)
-  Services services_;
-  // snap:transient(per-node config, persisted wholesale as scenario text)
-  NodeConfig config_;
+  const Services* services_;
+  const NodeConfig* config_;
   // snap:derived(adopt_event)
   sim::EventId hello_event_ = 0;
   util::Meters total_moved_;

@@ -9,6 +9,10 @@
 //   <unit>.ckpt    — a periodic mid-flight snapshot (snap::Checkpointer),
 //                    refreshed at chunk boundaries while the unit runs.
 //
+// A unit's name starts with a digest of the sweep's scenario text and run
+// options, so sweeps with different inputs never read each other's files,
+// however many of them share a directory.
+//
 // Resuming (--resume) walks the same unit names: a .result short-circuits
 // the unit entirely, a .ckpt restores the paused run and finishes it, and
 // neither means the unit starts fresh. Because instance i is always
@@ -28,15 +32,6 @@ struct CheckpointOptions {
 
   /// Reuse files found in `dir` instead of recomputing their units.
   bool resume = false;
-
-  /// Prefix prepended to every unit's file stem. A process that runs
-  /// several sweeps against the same directory (bench panels, ablation
-  /// variants) must give each sweep a distinct scope, or the second
-  /// sweep's `cmp-0-baseline` resolves to the first sweep's files and a
-  /// resume silently returns the wrong results. Must be deterministic
-  /// across processes (e.g. a per-process sweep counter), never derived
-  /// from time or randomness.
-  std::string scope;
 
   /// Simulated seconds between mid-flight snapshots (snap::Checkpointer).
   /// Zero writes only the .result files (checkpoint-on-completion only).

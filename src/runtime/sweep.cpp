@@ -1,6 +1,7 @@
 #include "runtime/sweep.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <future>
@@ -9,10 +10,12 @@
 
 #include "exp/instance.hpp"
 #include "exp/instance_run.hpp"
+#include "exp/scenario_io.hpp"
 #include "runtime/thread_pool.hpp"
 #include "snap/checkpointer.hpp"
 #include "snap/result_io.hpp"
 #include "snap/snapshot.hpp"
+#include "snap/state_hash.hpp"
 #include "util/rng.hpp"
 
 namespace imobif::runtime {
@@ -23,6 +26,37 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index) {
 }
 
 namespace {
+
+/// The unit-file prefix of a sweep: a 64-bit digest, in hex, of every
+/// input that shapes a unit's result besides its instance index, namely
+/// the scenario text and the run options. Sweeps with different inputs
+/// never share files; sweeps with equal inputs do, which is correct
+/// because runs are deterministic.
+std::string unit_prefix(const exp::ScenarioParams& params,
+                        const exp::RunOptions& options) {
+  snap::StateHash h;
+  h.str(exp::to_config_string(params));
+  h.boolean(options.stop_on_first_death);
+  h.f64(options.horizon_factor);
+  h.f64(options.horizon_slack_s.value());
+  h.boolean(options.multi_flow_blending);
+  h.u64(options.extra_flows.size());
+  for (const net::FlowSpec& spec : options.extra_flows) {
+    h.u64(spec.id);
+    h.u64(spec.source);
+    h.u64(spec.destination);
+    h.f64(spec.length_bits.value());
+    h.f64(spec.packet_bits.value());
+    h.f64(spec.rate_bps.value());
+    h.u8(static_cast<std::uint8_t>(spec.strategy));
+    h.boolean(spec.initially_enabled);
+    h.f64(spec.length_estimate_factor);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h.digest()));
+  return std::string(hex) + "-";
+}
 
 /// Runs one named unit to completion. With checkpointing disabled it runs
 /// `make_fresh()`. Otherwise it short-circuits from <unit>.result, resumes
@@ -38,9 +72,8 @@ exp::RunResult run_unit(
     return run->result();
   }
   const std::filesystem::path dir(options.dir);
-  const std::string stem = options.scope + unit;
-  const std::string result_path = (dir / (stem + ".result")).string();
-  const std::string ckpt_path = (dir / (stem + ".ckpt")).string();
+  const std::string result_path = (dir / (unit + ".result")).string();
+  const std::string ckpt_path = (dir / (unit + ".ckpt")).string();
 
   if (options.resume && std::filesystem::exists(result_path)) {
     return snap::load_result(result_path);
@@ -70,9 +103,11 @@ exp::ComparisonPoint run_comparison_point(const exp::ScenarioParams& params,
                                           const exp::RunOptions& options,
                                           util::Rng rng,
                                           const CheckpointOptions& checkpoint,
+                                          const std::string& sweep_prefix,
                                           std::size_t index) {
   const exp::FlowInstance instance = exp::sample_instance(params, rng);
-  const std::string prefix = "cmp-" + std::to_string(index) + "-";
+  const std::string prefix =
+      sweep_prefix + "cmp-" + std::to_string(index) + "-";
   const auto run_mode = [&](core::MobilityMode mode, const char* name) {
     return run_unit(checkpoint, prefix + name, [&] {
       auto run = exp::InstanceRun::create(instance, params, mode, options);
@@ -97,7 +132,11 @@ std::vector<exp::ComparisonPoint> run_comparison_parallel(
     const exp::RunOptions& options, std::size_t workers,
     const CheckpointOptions& checkpoint) {
   params.validate();
-  if (checkpoint.enabled()) std::filesystem::create_directories(checkpoint.dir);
+  std::string sweep_prefix;
+  if (checkpoint.enabled()) {
+    std::filesystem::create_directories(checkpoint.dir);
+    sweep_prefix = unit_prefix(params, options);
+  }
 
   // Instance i's generator is the i-th fork of Rng(params.seed), drawn
   // here in submission order on this thread.
@@ -107,8 +146,10 @@ std::vector<exp::ComparisonPoint> run_comparison_parallel(
   futures.reserve(flow_count);
   for (std::size_t i = 0; i < flow_count; ++i) {
     futures.push_back(
-        pool.submit([&params, &options, rng = root.fork(), &checkpoint, i] {
-          return run_comparison_point(params, options, rng, checkpoint, i);
+        pool.submit([&params, &options, rng = root.fork(), &checkpoint,
+                     &sweep_prefix, i] {
+          return run_comparison_point(params, options, rng, checkpoint,
+                                      sweep_prefix, i);
         }));
   }
   std::vector<exp::ComparisonPoint> points;

@@ -29,8 +29,9 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 /// cost-unaware mobility and iMobif; deterministic in (params.seed,
 /// flow_count) for any `workers`. Runs on min(max(workers, 1), flow_count)
 /// pool threads. With checkpointing enabled, instance i's three mode runs
-/// persist as units "cmp-<i>-baseline" / "cmp-<i>-cost_unaware" /
-/// "cmp-<i>-informed" (see runtime/checkpoint.hpp).
+/// persist as units "<digest>-cmp-<i>-baseline" / "-cost_unaware" /
+/// "-informed", where <digest> is 16 hex digits of a digest of `params`'
+/// config text and `options` (see runtime/checkpoint.hpp).
 std::vector<exp::ComparisonPoint> run_comparison_parallel(
     const exp::ScenarioParams& params, std::size_t flow_count,
     const exp::RunOptions& options = {}, std::size_t workers = 1,

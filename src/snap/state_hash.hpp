@@ -16,8 +16,10 @@
 // apart from "a","bc". digest() applies a final avalanche.
 //
 // This is a divergence detector for replay bisection, not a cryptographic
-// commitment; 64 bits is ample for comparing two runs event-by-event. Only
-// hashes from the same build are ever compared: none is stored.
+// commitment; 64 bits is ample for comparing two runs event-by-event. The
+// only stored digests are the checkpoint unit-file prefixes of
+// runtime/sweep.cpp; a build whose digest differs just recomputes those
+// units instead of resuming them.
 #pragma once
 
 #include <bit>

@@ -18,6 +18,13 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
+/// std::from_chars takes no leading '+'; the config grammar does, once
+/// ("+-1" stays an error).
+const char* skip_plus(const char* first, const char* last) {
+  return last - first > 1 && first[0] == '+' && first[1] != '-' ? first + 1
+                                                                : first;
+}
+
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -84,9 +91,8 @@ double Config::get_double(const std::string& key, double fallback) const {
   // (util::Json::number_to_string) legitimately emits — the parser must
   // accept everything the formatter produces. from_chars also ignores the
   // locale and accepts a leading '+' not at all, so normalize that here.
-  const char* first = text.data();
   const char* last = text.data() + text.size();
-  if (first != last && *first == '+') ++first;
+  const char* first = skip_plus(text.data(), last);
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec == std::errc::invalid_argument || first == last) {
@@ -108,17 +114,18 @@ std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  std::size_t consumed = 0;
+  const std::string& text = it->second;
+  const char* last = text.data() + text.size();
+  const char* first = skip_plus(text.data(), last);
   std::int64_t value = 0;
-  try {
-    value = std::stoll(it->second, &consumed);
-  } catch (const std::exception&) {
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || first == last) {
     throw std::invalid_argument("Config: key '" + key +
-                                "' is not an integer: " + it->second);
+                                "' is not an integer: " + text);
   }
-  if (consumed != it->second.size()) {
+  if (ptr != last) {
     throw std::invalid_argument("Config: trailing junk in '" + key +
-                                "': " + it->second);
+                                "': " + text);
   }
   return value;
 }

@@ -1,23 +1,32 @@
-# Runs bench binaries with malformed instance counts and requires every
-# run to fail with the std::invalid_argument that names the flag: "-1"
-# must not wrap to SIZE_MAX, a positional "2x" must not read as 2, and
-# "0" must not write an artifact with no instances.
+# Runs bench binaries with malformed flag values and requires every run to
+# fail with the std::invalid_argument that names the flag: an instance
+# count "-1" must not wrap to SIZE_MAX, a positional "2x" must not read as
+# 2, and "0" must not write an artifact with no instances; "--seed -1" must
+# not wrap to 2^64 - 1, and "--loss -0.2" must not run a lossless sweep.
 #
 # Usage: cmake "-DBENCH_BINS=<bin>;<bin>..." -P bench_cli_instances.cmake
-set(cases "--instances -1" "2x" "--instances 0")
+function(expect_rejected bin case pattern)
+  separate_arguments(args UNIX_COMMAND "${case}")
+  execute_process(COMMAND "${bin}" ${args}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "${bin} '${case}' was accepted:\n${out}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "${bin} '${case}' failed without the expected "
+                        "message '${pattern}' (exit ${code}):\n${err}")
+  endif()
+endfunction()
+
 foreach(bin IN LISTS BENCH_BINS)
-  foreach(case IN LISTS cases)
-    separate_arguments(args UNIX_COMMAND "${case}")
-    execute_process(COMMAND "${bin}" ${args}
-                    RESULT_VARIABLE code
-                    OUTPUT_VARIABLE out
-                    ERROR_VARIABLE err)
-    if(code EQUAL 0)
-      message(FATAL_ERROR "${bin} '${case}' was accepted:\n${out}")
-    endif()
-    if(NOT err MATCHES "--instances expects a positive integer, got")
-      message(FATAL_ERROR "${bin} '${case}' failed without naming "
-                          "--instances (exit ${code}):\n${err}")
-    endif()
+  foreach(case IN ITEMS "--instances -1" "2x" "--instances 0")
+    expect_rejected("${bin}" "${case}"
+                    "--instances expects a positive integer, got")
   endforeach()
+  expect_rejected("${bin}" "--instances 1 --seed -1"
+                  "'--seed' expects an unsigned integer, got '-1'")
+  expect_rejected("${bin}" "--instances 1 --loss -0.2"
+                  "--loss expects a probability in \\[0, 1\\], got -0.2")
 endforeach()

@@ -1,12 +1,15 @@
-// Golden regression gate for the figure benches: every fig5-8 binary, run
-// at --instances 4, must reproduce its committed baseline byte for byte.
+// Golden regression gate for the figure benches and the mobility grid:
+// every fig5-8 binary and mobility_sweep, run at --instances 4, must
+// reproduce its committed baseline byte for byte.
 //
 // The repo's house invariant is that refactors of the simulator core —
 // grid-only neighbor discovery, SoA node state, batched event draining
 // (DESIGN.md §12) — leave the paper artifacts bit-identical. The committed
 // BENCH_fig*_i4.json files pin that contract at a budget small enough for
 // every CI run; the full --instances 8 baselines stay the documentation
-// artifacts (bench/baselines/README.md).
+// artifacts (bench/baselines/README.md). The mobility grid is seeded and
+// deterministic too, and its report is identical for any worker count, so
+// it runs with --jobs 4 to keep the test short.
 //
 // wall_ms is the one machine-dependent line in a report; it is stripped
 // from both sides before comparison, mirroring the CI bit-identity check.
@@ -26,6 +29,7 @@ struct FigureBench {
   const char* name;    ///< for diagnostics
   const char* binary;  ///< injected by CMake
   const char* baseline;
+  const char* extra_flags = "";
 };
 
 const std::vector<FigureBench>& figure_benches() {
@@ -34,6 +38,8 @@ const std::vector<FigureBench>& figure_benches() {
       {"fig6_energy", IMOBIF_FIG6_BIN, "BENCH_fig6_i4.json"},
       {"fig7_notifications", IMOBIF_FIG7_BIN, "BENCH_fig7_i4.json"},
       {"fig8_lifetime", IMOBIF_FIG8_BIN, "BENCH_fig8_i4.json"},
+      {"mobility_sweep", IMOBIF_MOBILITY_BIN, "BENCH_mobility.json",
+       " --jobs 4"},
   };
   return kBenches;
 }
@@ -71,8 +77,8 @@ TEST(BenchGolden, FigureReportsMatchCommittedBaselines) {
     const std::filesystem::path out_json =
         scratch / (std::string(bench.name) + ".json");
     const std::string command = std::string(bench.binary) +
-                                " --instances 4 --json " + out_json.string() +
-                                " > /dev/null";
+                                " --instances 4" + bench.extra_flags +
+                                " --json " + out_json.string() + " > /dev/null";
     ASSERT_EQ(std::system(command.c_str()), 0) << command;
 
     const std::filesystem::path baseline = baseline_dir / bench.baseline;

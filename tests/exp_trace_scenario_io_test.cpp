@@ -332,5 +332,127 @@ TEST(ScenarioIo, FullRangeSeedsRoundTrip) {
   }
 }
 
+// Known-answer texts: snapshot meta embeds to_config_string, so its exact
+// bytes (key order, number formatting, which optional keys appear) are
+// pinned here and not only its round trip.
+TEST(ScenarioIo, ConfigStringKnownAnswers) {
+  EXPECT_EQ(to_config_string(ScenarioParams{}),
+      "area_m = 1000\n"
+      "node_count = 100\n"
+      "comm_range_m = 180\n"
+      "min_hops = 3\n"
+      "radio_a = 1e-07\n"
+      "radio_b = 5e-10\n"
+      "radio_alpha = 2\n"
+      "radio_rx_per_bit = 0\n"
+      "k = 0.5\n"
+      "max_step_m = 1\n"
+      "initial_energy_j = 2000\n"
+      "random_energy = false\n"
+      "energy_lo_j = 5\n"
+      "energy_hi_j = 100\n"
+      "mean_flow_kb = 100\n"
+      "packet_bits = 8192\n"
+      "rate_bps = 8192\n"
+      "length_estimate_factor = 1\n"
+      "hello_interval_s = 10\n"
+      "warmup_s = 25\n"
+      "charge_hello_energy = false\n"
+      "position_error_m = 0\n"
+      "strategy = min-energy\n"
+      "alpha_prime = 0\n"
+      "line_bias_weight = 0\n"
+      "cap_bits = true\n"
+      "paper_local_estimator = false\n"
+      "exact_lifetime_split = false\n"
+      "notification_min_gap = 0\n"
+      "recruit_margin = 0\n"
+      "multi_flow_blending = false\n"
+      "loss_rate = 0\n"
+      "gilbert_elliott = false\n"
+      "p_good_to_bad = 0\n"
+      "p_bad_to_good = 0.1\n"
+      "loss_good = 0\n"
+      "loss_bad = 1\n"
+      "fault_seed = 0\n"
+      "notify_retry_cap = 0\n"
+      "notify_retry_timeout_s = 2\n"
+      "seed = 1\n");
+
+  ScenarioParams zoo;
+  zoo.mob.model = mob::ModelId::kTrace;
+  zoo.mob.trace_file = "walk.trace";
+  zoo.mob.update_s = Seconds{0.5};
+  zoo.mob.speed_max = util::MetersPerSecond{3.25};
+  zoo.mob.group_count = 7;
+  zoo.mob.charge_energy = true;
+  zoo.traffic.model = traffic::ModelId::kPareto;
+  zoo.traffic.pareto_shape = 1.2;
+  zoo.fault.loss_rate = 0.1;
+  zoo.fault.crashes = {{3, 12.5, -1.0}, {7, 30.25, 5.125}};
+  zoo.fault.seed = (std::uint64_t{1} << 63) + 5;
+  zoo.seed = std::numeric_limits<std::uint64_t>::max();
+  zoo.strategy = net::StrategyId::kMaxLifetime;
+  EXPECT_EQ(to_config_string(zoo),
+      "area_m = 1000\n"
+      "node_count = 100\n"
+      "comm_range_m = 180\n"
+      "min_hops = 3\n"
+      "radio_a = 1e-07\n"
+      "radio_b = 5e-10\n"
+      "radio_alpha = 2\n"
+      "radio_rx_per_bit = 0\n"
+      "k = 0.5\n"
+      "max_step_m = 1\n"
+      "initial_energy_j = 2000\n"
+      "random_energy = false\n"
+      "energy_lo_j = 5\n"
+      "energy_hi_j = 100\n"
+      "mean_flow_kb = 100\n"
+      "packet_bits = 8192\n"
+      "rate_bps = 8192\n"
+      "length_estimate_factor = 1\n"
+      "hello_interval_s = 10\n"
+      "warmup_s = 25\n"
+      "charge_hello_energy = false\n"
+      "position_error_m = 0\n"
+      "strategy = max-lifetime\n"
+      "alpha_prime = 0\n"
+      "line_bias_weight = 0\n"
+      "cap_bits = true\n"
+      "paper_local_estimator = false\n"
+      "exact_lifetime_split = false\n"
+      "notification_min_gap = 0\n"
+      "recruit_margin = 0\n"
+      "multi_flow_blending = false\n"
+      "loss_rate = 0.1\n"
+      "gilbert_elliott = false\n"
+      "p_good_to_bad = 0\n"
+      "p_bad_to_good = 0.1\n"
+      "loss_good = 0\n"
+      "loss_bad = 1\n"
+      "fault_seed = 9223372036854775813\n"
+      "crashes = 3:12.5:-1,7:30.25:5.125\n"
+      "notify_retry_cap = 0\n"
+      "notify_retry_timeout_s = 2\n"
+      "mobility.model = trace\n"
+      "mobility.update_s = 0.5\n"
+      "mobility.speed_min_mps = 0.5\n"
+      "mobility.speed_max_mps = 3.25\n"
+      "mobility.pause_s = 10\n"
+      "mobility.gm_alpha = 0.75\n"
+      "mobility.gm_speed_sigma_mps = 0.25\n"
+      "mobility.gm_dir_sigma_rad = 0.5\n"
+      "mobility.group_count = 7\n"
+      "mobility.group_radius_m = 50\n"
+      "mobility.trace_file = walk.trace\n"
+      "mobility.charge_energy = true\n"
+      "traffic.model = pareto\n"
+      "traffic.on_mean_s = 5\n"
+      "traffic.off_mean_s = 5\n"
+      "traffic.pareto_shape = 1.2\n"
+      "seed = 18446744073709551615\n");
+}
+
 }  // namespace
 }  // namespace imobif::exp

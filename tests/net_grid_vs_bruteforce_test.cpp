@@ -2,7 +2,7 @@
 //
 // The grid is the ONLY neighbor-discovery path in the simulator (DESIGN.md
 // §12) — routing, recruitment, and the admission oracle all stopped scanning
-// all_nodes(). That makes its exact agreement with the O(N) linear scan a
+// every node. That makes its exact agreement with the O(N) linear scan a
 // correctness invariant, not a performance detail: any divergence silently
 // changes neighbor sets and breaks the fig5-8 bit-identity contract. The
 // brute-force scan survives only here, as the oracle.

@@ -156,16 +156,19 @@ TEST(Medium, DuplicateNodeIdRejected) {
   sim::Simulator sim;
   Medium medium(sim, MediumConfig{});
   energy::RadioEnergyModel radio{energy::RadioParams{}};
+  NetworkEvents events;
+  NodeStore store;
+  store.add({0, 0}, util::Joules{10.0});
+  store.add({0, 0}, util::Joules{10.0});
   Node::Services services;
   services.sim = &sim;
   services.medium = &medium;
   services.radio = &radio;
-  NodeStore store;
-  store.add({0, 0}, util::Joules{10.0});
-  store.add({0, 0}, util::Joules{10.0});
+  services.events = &events;
   services.store = &store;
-  Node a(1, {0, 0}, util::Joules{10.0}, services);
-  Node dup(1, {5, 5}, util::Joules{10.0}, services);
+  const NodeConfig config;
+  Node a(1, {0, 0}, util::Joules{10.0}, services, config);
+  Node dup(1, {5, 5}, util::Joules{10.0}, services, config);
   medium.attach(a);
   EXPECT_THROW(medium.attach(dup), std::invalid_argument);
 }

@@ -17,24 +17,35 @@ using util::Meters;
 using util::Seconds;
 
 TEST(Node, RequiresCoreServices) {
+  const NodeConfig config;
   Node::Services empty;
-  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, empty), std::invalid_argument);
+  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, empty, config),
+               std::invalid_argument);
 
-  // Core services but no NodeStore slot for the id: position and residual
-  // have nowhere to live.
+  // Core services but no events sink, then no NodeStore slot for the id:
+  // drops and deaths have nowhere to go, position and residual nowhere to
+  // live.
   sim::Simulator sim;
   Medium medium(sim, MediumConfig{});
   energy::RadioEnergyModel radio{energy::RadioParams{}};
+  NetworkEvents events;
+  NodeStore store;
+  store.add({0, 0}, Joules{1.0});
   Node::Services services;
   services.sim = &sim;
   services.medium = &medium;
   services.radio = &radio;
-  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, services), std::invalid_argument);
-  NodeStore store;
-  store.add({0, 0}, Joules{1.0});
   services.store = &store;
-  EXPECT_THROW(Node(1, {0, 0}, Joules{1.0}, services), std::invalid_argument);
-  EXPECT_NO_THROW(Node(0, {0, 0}, Joules{1.0}, services));
+  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, services, config),
+               std::invalid_argument);
+  services.events = &events;
+  services.store = nullptr;
+  EXPECT_THROW(Node(0, {0, 0}, Joules{1.0}, services, config),
+               std::invalid_argument);
+  services.store = &store;
+  EXPECT_THROW(Node(1, {0, 0}, Joules{1.0}, services, config),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Node(0, {0, 0}, Joules{1.0}, services, config));
 }
 
 TEST(Node, HelloPopulatesNeighborTables) {

@@ -44,6 +44,21 @@ std::filesystem::path scratch_dir(const std::string& name) {
 
 const char* const kModeUnits[] = {"baseline", "cost_unaware", "informed"};
 
+/// The digest prefix ("<16 hex digits>-") of the unit files in `dir`,
+/// all of which must come from one sweep.
+std::string unit_prefix_in(const std::filesystem::path& dir) {
+  std::string prefix;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    const std::size_t cmp = name.find("cmp-");
+    EXPECT_EQ(cmp, 17u) << name;
+    if (cmp == std::string::npos) continue;
+    if (prefix.empty()) prefix = name.substr(0, cmp);
+    EXPECT_EQ(name.substr(0, cmp), prefix) << name;
+  }
+  return prefix;
+}
+
 TEST(RuntimeCheckpoint, CheckpointedSweepMatchesPlainSweep) {
   const exp::ScenarioParams params = sweep_params(11);
   const std::size_t kInstances = 3;
@@ -57,13 +72,16 @@ TEST(RuntimeCheckpoint, CheckpointedSweepMatchesPlainSweep) {
   const std::vector<exp::ComparisonPoint> checked =
       run_comparison_parallel(params, kInstances, {}, 2, checkpoint);
 
+  const std::string prefix = unit_prefix_in(dir);
+  ASSERT_EQ(prefix.size(), 17u);
   ASSERT_EQ(plain.size(), checked.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(json(plain[i].baseline), json(checked[i].baseline));
     EXPECT_EQ(json(plain[i].cost_unaware), json(checked[i].cost_unaware));
     EXPECT_EQ(json(plain[i].informed), json(checked[i].informed));
     for (const char* mode : kModeUnits) {
-      const std::string stem = "cmp-" + std::to_string(i) + "-" + mode;
+      const std::string stem =
+          prefix + "cmp-" + std::to_string(i) + "-" + mode;
       EXPECT_TRUE(std::filesystem::exists(dir / (stem + ".result")));
       // Finished units keep only their .result.
       EXPECT_FALSE(std::filesystem::exists(dir / (stem + ".ckpt")));
@@ -81,9 +99,17 @@ TEST(RuntimeCheckpoint, ResumePicksUpMidFlightCheckpoint) {
 
   // Simulate a kill: run instance 0's informed unit partway by hand, from
   // the first fork of Rng(seed), and leave only its .ckpt behind, exactly
-  // as a SIGKILLed sweep would.
+  // as a SIGKILLed sweep would. A finished sweep in the directory names
+  // the unit files; its informed .result goes, so the .ckpt is all that
+  // is left of that unit.
   const auto dir = scratch_dir("rt_ckpt_kill");
-  const std::filesystem::path ckpt = dir / "cmp-0-informed.ckpt";
+  CheckpointOptions checkpoint;
+  checkpoint.dir = dir.string();
+  (void)run_comparison_parallel(params, 1, {}, 1, checkpoint);
+  const std::string prefix = unit_prefix_in(dir);
+  ASSERT_TRUE(
+      std::filesystem::remove(dir / (prefix + "cmp-0-informed.result")));
+  const std::filesystem::path ckpt = dir / (prefix + "cmp-0-informed.ckpt");
   {
     util::Rng rng = util::Rng(params.seed).fork();
     const exp::FlowInstance instance = exp::sample_instance(params, rng);
@@ -95,8 +121,6 @@ TEST(RuntimeCheckpoint, ResumePicksUpMidFlightCheckpoint) {
     snap::save(*run, ckpt.string());
   }
 
-  CheckpointOptions checkpoint;
-  checkpoint.dir = dir.string();
   checkpoint.resume = true;
   const std::vector<exp::ComparisonPoint> resumed =
       run_comparison_parallel(params, 1, {}, 1, checkpoint);
@@ -117,9 +141,12 @@ TEST(RuntimeCheckpoint, ComparisonSweepResumesIdenticallyAtAnyWorkerCount) {
   checkpoint.dir = dir.string();
   const std::vector<exp::ComparisonPoint> first =
       run_comparison_parallel(params, 2, {}, 1, checkpoint);
-  // Per-unit files use the cmp-<i>-<mode> naming.
-  EXPECT_TRUE(std::filesystem::exists(dir / "cmp-0-baseline.result"));
-  EXPECT_TRUE(std::filesystem::exists(dir / "cmp-1-informed.result"));
+  // Per-unit files use the <digest>-cmp-<i>-<mode> naming.
+  const std::string prefix = unit_prefix_in(dir);
+  EXPECT_TRUE(
+      std::filesystem::exists(dir / (prefix + "cmp-0-baseline.result")));
+  EXPECT_TRUE(
+      std::filesystem::exists(dir / (prefix + "cmp-1-informed.result")));
 
   checkpoint.resume = true;
   const std::vector<exp::ComparisonPoint> resumed =
@@ -135,13 +162,12 @@ TEST(RuntimeCheckpoint, ComparisonSweepResumesIdenticallyAtAnyWorkerCount) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RuntimeCheckpoint, ScopeSeparatesSweepsSharingADirectory) {
-  // A process running several sweeps against one directory (bench panels)
-  // must namespace them: without distinct scopes, the second sweep's
-  // cmp-0-* units resolve to the first sweep's files and a resume returns
-  // the wrong results.
+TEST(RuntimeCheckpoint, DigestSeparatesSweepsSharingADirectory) {
+  // Sweeps with different inputs that share a directory (bench panels)
+  // never read each other's unit files: a resume of the second sweep
+  // finds nothing of its own, runs fresh and stays correct.
   const exp::ScenarioParams first = sweep_params(51);
-  exp::ScenarioParams second = sweep_params(52);
+  exp::ScenarioParams second = sweep_params(51);
   second.mean_flow_bits *= 4.0;
 
   const std::vector<exp::ComparisonPoint> ref_first =
@@ -149,22 +175,53 @@ TEST(RuntimeCheckpoint, ScopeSeparatesSweepsSharingADirectory) {
   const std::vector<exp::ComparisonPoint> ref_second =
       run_comparison_parallel(second, 1);
 
-  const auto dir = scratch_dir("rt_ckpt_scope");
+  const auto dir = scratch_dir("rt_ckpt_digest");
   CheckpointOptions checkpoint;
   checkpoint.dir = dir.string();
-  checkpoint.scope = "s0-";
   (void)run_comparison_parallel(first, 1, {}, 1, checkpoint);
-  EXPECT_TRUE(std::filesystem::exists(dir / "s0-cmp-0-baseline.result"));
+  const std::string first_prefix = unit_prefix_in(dir);
 
-  // The second sweep resumes against the same directory under its own
-  // scope: nothing matches, so it runs fresh and stays correct.
-  checkpoint.scope = "s1-";
   checkpoint.resume = true;
   const std::vector<exp::ComparisonPoint> resumed_second =
       run_comparison_parallel(second, 1, {}, 1, checkpoint);
   ASSERT_EQ(resumed_second.size(), ref_second.size());
   EXPECT_EQ(json(resumed_second[0].informed), json(ref_second[0].informed));
   EXPECT_NE(json(ref_first[0].informed), json(ref_second[0].informed));
+
+  // Different run options are different inputs too.
+  exp::RunOptions lifetime;
+  lifetime.stop_on_first_death = true;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  checkpoint.resume = false;
+  (void)run_comparison_parallel(first, 1, lifetime, 1, checkpoint);
+  EXPECT_NE(unit_prefix_in(dir), first_prefix);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RuntimeCheckpoint, ResumeWithAnotherSeedEqualsAFreshRun) {
+  // Unit i of every seed shares the name cmp-<i>-<mode>; only the digest
+  // of the scenario tells them apart, so a resume under a new seed must
+  // not return the old seed's results.
+  const exp::ScenarioParams old_seed = sweep_params(61);
+  const exp::ScenarioParams new_seed = sweep_params(62);
+  const std::vector<exp::ComparisonPoint> fresh =
+      run_comparison_parallel(new_seed, 2);
+
+  const auto dir = scratch_dir("rt_ckpt_reseed");
+  CheckpointOptions checkpoint;
+  checkpoint.dir = dir.string();
+  (void)run_comparison_parallel(old_seed, 2, {}, 1, checkpoint);
+  checkpoint.resume = true;
+  const std::vector<exp::ComparisonPoint> resumed =
+      run_comparison_parallel(new_seed, 2, {}, 1, checkpoint);
+
+  ASSERT_EQ(resumed.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(json(resumed[i].baseline), json(fresh[i].baseline));
+    EXPECT_EQ(json(resumed[i].cost_unaware), json(fresh[i].cost_unaware));
+    EXPECT_EQ(json(resumed[i].informed), json(fresh[i].informed));
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace imobif::util {
 namespace {
 
@@ -87,6 +91,46 @@ TEST(Args, EmptyArgvSafe) {
   const Args a(0, nullptr);
   EXPECT_TRUE(a.positional().empty());
   EXPECT_TRUE(a.program().empty());
+}
+
+// Flag values read with util::Config's grammar, exactly like the same key
+// in a .conf file.
+TEST(Args, ValuesParseLikeConfigKeys) {
+  const Args a = parse({"prog", "--loss", "+0.25", "--jobs=+3", "--x=TRUE",
+                        "--y", "Off"});
+  EXPECT_DOUBLE_EQ(a.get_double("loss", 0.0), 0.25);
+  EXPECT_EQ(a.get_int("jobs", 0), 3);
+  EXPECT_TRUE(a.get_bool("x"));
+  EXPECT_FALSE(a.get_bool("y", true));
+}
+
+TEST(Args, UnsignedFlagsTakeTheFullRangeAndNoSign) {
+  const Args a = parse({"prog", "--seed", "18446744073709551615", "--neg",
+                        "-1", "--big", "18446744073709551616"});
+  EXPECT_EQ(a.get_unsigned<std::uint64_t>("seed", 0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(a.get_unsigned<std::uint64_t>("absent", 9), 9u);
+  EXPECT_THROW(a.get_unsigned<std::uint64_t>("neg", 0),
+               std::invalid_argument);
+  EXPECT_THROW(a.get_unsigned<std::uint64_t>("big", 0),
+               std::invalid_argument);
+}
+
+TEST(Args, ErrorsNameTheFlag) {
+  const Args a = parse({"prog", "--seed", "-1", "--loss", "x"});
+  const auto message = [](const auto& read) -> std::string {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& err) {
+      return err.what();
+    }
+    return "accepted";
+  };
+  const std::string seed =
+      message([&] { return a.get_unsigned<std::uint64_t>("seed", 0); });
+  EXPECT_NE(seed.find("'--seed'"), std::string::npos) << seed;
+  const std::string loss = message([&] { return a.get_double("loss", 0.0); });
+  EXPECT_NE(loss.find("'--loss'"), std::string::npos) << loss;
 }
 
 }  // namespace

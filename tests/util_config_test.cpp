@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 namespace imobif::util {
 namespace {
@@ -99,6 +101,45 @@ TEST(Config, FromFileRoundTrip) {
 
 TEST(Config, FromMissingFileThrows) {
   EXPECT_THROW(Config::from_file("/no/such/file.conf"), std::runtime_error);
+}
+
+TEST(Config, LeadingPlusOnSignedNumbersOnly) {
+  const Config c = Config::from_string(
+      "d = +2.5\ni = +7\nu = +7\nbad_d = +-2.5\nbad_i = +-7\n");
+  EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), 2.5);
+  EXPECT_EQ(c.get_int("i", 0), 7);
+  EXPECT_THROW(c.get_unsigned<unsigned>("u", 0), std::invalid_argument);
+  EXPECT_THROW(c.get_double("bad_d", 0.0), std::invalid_argument);
+  EXPECT_THROW(c.get_int("bad_i", 0), std::invalid_argument);
+}
+
+// The one unsigned grammar: bare digits that fit the type, or nothing.
+TEST(ParseUnsigned, RejectsSignsJunkAndOverflow) {
+  EXPECT_EQ(parse_unsigned<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_unsigned<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_unsigned<std::uint32_t>("4294967295"), 4294967295u);
+  for (const char* bad : {"", "-1", "+1", "-0", " 1", "1 ", "4x", "0x10",
+                          "1.0", "1e3", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_unsigned<std::uint64_t>(bad).has_value());
+  }
+  EXPECT_FALSE(parse_unsigned<std::uint32_t>("4294967296").has_value());
+}
+
+TEST(Config, GetUnsignedNamesTheKey) {
+  const Config c = Config::from_string("n = 12\nbad = -1\n");
+  EXPECT_EQ(c.get_unsigned<std::size_t>("n", 0), 12u);
+  EXPECT_EQ(c.get_unsigned<std::size_t>("absent", 5), 5u);
+  try {
+    (void)c.get_unsigned<std::uint64_t>("bad", 0);
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("'bad' expects an unsigned "
+                                           "integer, got '-1'"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 }  // namespace

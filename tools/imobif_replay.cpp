@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
   try {
-    const auto max_events =
-        static_cast<std::size_t>(args.get_int("max-events", 0));
+    const auto max_events = args.get_unsigned<std::size_t>("max-events", 0);
     if (args.has("bisect")) {
       const std::string a = args.get_string("bisect");
       if (a.empty() || args.positional().empty()) {

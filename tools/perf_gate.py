@@ -26,23 +26,13 @@ higher-is-better, so the best of N runs is the *maximum*. The 1e2/1e3
 points are dominated by setup noise and the 1e6 point by memory-bandwidth
 variance between CI hosts, so only the middle of the curve is gated.
 
-The mobility gate tracks *results*, not timings: it compares a fresh
-``mobility_sweep`` report against the committed
-``bench/baselines/BENCH_mobility.json``. The sweep is deterministic for a
-fixed seed, so deviations are behavior changes, not noise — the
-comparison is two-sided (drift in either direction fails). Energy-ratio
-series gate at ``--mobility-threshold`` (default 5%); the coarser
-movement/notification series at ``--mobility-loose-threshold`` (default
-10%), since a legitimate model tweak shifts those counters more per unit
-of meaning. A series present in the baseline but missing from the current
-report fails the gate; new series are listed but not gated until
-committed. With several current reports, every one must be within
-threshold (a deterministic sweep has no best-of-N).
+The mobility grid is not gated here: its report is deterministic, so the
+``bench_golden_test`` ctest compares it byte for byte against
+``bench/baselines/BENCH_mobility.json`` instead.
 
-Any combination of gates can run in one invocation; pass the
-corresponding ``--baseline``/``--current``,
-``--scale-baseline``/``--scale-current``, or
-``--mobility-baseline``/``--mobility-current`` pair.
+Either gate or both can run in one invocation; pass the corresponding
+``--baseline``/``--current`` or ``--scale-baseline``/``--scale-current``
+pair.
 
 Usage:
     python3 tools/perf_gate.py \
@@ -50,10 +40,7 @@ Usage:
         --current  bench/out/BENCH_micro.*.json [--threshold 0.05] \
         --scale-baseline bench/baselines/BENCH_scale.json \
         --scale-current  bench/out/BENCH_scale.*.json \
-        [--scale-threshold 0.10] [--scale-points 10000 100000] \
-        --mobility-baseline bench/baselines/BENCH_mobility.json \
-        --mobility-current  bench/out/BENCH_mobility.json \
-        [--mobility-threshold 0.05] [--mobility-loose-threshold 0.10]
+        [--scale-threshold 0.10] [--scale-points 10000 100000]
 """
 
 from __future__ import annotations
@@ -130,49 +117,6 @@ def gate_scale(args) -> list[str]:
     return failures
 
 
-def load_all_series_means(path: str) -> dict[str, float]:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    series = report.get("series", {})
-    if not series:
-        raise SystemExit(f"perf_gate: no series in {path}")
-    return {name: float(block["mean"]) for name, block in series.items()}
-
-
-def gate_mobility(args) -> list[str]:
-    baseline = load_all_series_means(args.mobility_baseline)
-    failures = []
-    width = max(len(n) for n in baseline)
-    for path in args.mobility_current:
-        current = load_all_series_means(path)
-        print(f"mobility_sweep series vs baseline ({path}):")
-        for name in sorted(baseline):
-            base = baseline[name]
-            if name not in current:
-                failures.append(f"{name}: missing from {path}")
-                continue
-            cur = current[name]
-            # The ratio series are the paper's headline result; the
-            # movement/notification counters get the looser bound.
-            threshold = (args.mobility_threshold if "ratio" in name
-                         else args.mobility_loose_threshold)
-            if base == 0.0:
-                drift = 0.0 if cur == 0.0 else float("inf")
-            else:
-                drift = abs(cur / base - 1.0)
-            verdict = "ok"
-            if drift > threshold:
-                verdict = "DRIFTED"
-                failures.append(
-                    f"{name}: {base:.6g} -> {cur:.6g} "
-                    f"({drift * 100.0:.1f}% > {threshold * 100.0:.0f}%)")
-            print(f"  {name:<{width}}  {base:>12.6g}  {cur:>12.6g}  "
-                  f"{drift * 100.0:>6.1f}%  {verdict}")
-        for name in sorted(set(current) - set(baseline)):
-            print(f"  {name:<{width}}  (new, not gated)")
-    return failures
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline",
@@ -194,55 +138,30 @@ def main() -> int:
     parser.add_argument("--scale-points", nargs="+", type=float,
                         default=[10000.0, 100000.0],
                         help="node counts to gate (default: 1e4 1e5)")
-    parser.add_argument("--mobility-baseline",
-                        help="committed BENCH_mobility.json")
-    parser.add_argument("--mobility-current", nargs="+",
-                        help="freshly produced BENCH_mobility.json "
-                             "report(s); each is gated independently (the "
-                             "sweep is deterministic)")
-    parser.add_argument("--mobility-threshold", type=float, default=0.05,
-                        help="allowed two-sided drift of energy-ratio "
-                             "series (default 0.05)")
-    parser.add_argument("--mobility-loose-threshold", type=float,
-                        default=0.10,
-                        help="allowed two-sided drift of the movement/"
-                             "notification series (default 0.10)")
     args = parser.parse_args()
 
     micro = bool(args.baseline or args.current)
     scale = bool(args.scale_baseline or args.scale_current)
-    mobility = bool(args.mobility_baseline or args.mobility_current)
     if micro and not (args.baseline and args.current):
         parser.error("--baseline and --current must be given together")
     if scale and not (args.scale_baseline and args.scale_current):
         parser.error("--scale-baseline and --scale-current must be given "
                      "together")
-    if mobility and not (args.mobility_baseline and args.mobility_current):
-        parser.error("--mobility-baseline and --mobility-current must be "
-                     "given together")
-    if not micro and not scale and not mobility:
-        parser.error("nothing to gate: give --baseline/--current, "
-                     "--scale-baseline/--scale-current, and/or "
-                     "--mobility-baseline/--mobility-current")
+    if not micro and not scale:
+        parser.error("nothing to gate: give --baseline/--current and/or "
+                     "--scale-baseline/--scale-current")
 
     scale_failures = gate_scale(args) if scale else []
-    mobility_failures = gate_mobility(args) if mobility else []
     if not micro:
-        failures = scale_failures + mobility_failures
-        if failures:
-            print(f"\nperf_gate: {len(failures)} failure(s):",
+        if scale_failures:
+            print(f"\nperf_gate: {len(scale_failures)} failure(s):",
                   file=sys.stderr)
-            for line in failures:
+            for line in scale_failures:
                 print(f"  {line}", file=sys.stderr)
             return 1
-        gated = []
-        if scale:
-            gated.append(f"scale throughput within "
-                         f"-{args.scale_threshold * 100.0:.0f}% at all "
-                         f"{len(args.scale_points)} gated point(s)")
-        if mobility:
-            gated.append("mobility grid within drift thresholds")
-        print(f"\nperf_gate: {'; '.join(gated)}")
+        print(f"\nperf_gate: scale throughput within "
+              f"-{args.scale_threshold * 100.0:.0f}% at all "
+              f"{len(args.scale_points)} gated point(s)")
         return 0
 
     baseline = load_means(args.baseline)
@@ -272,12 +191,10 @@ def main() -> int:
         print(f"  {name:<{width}}  (new, not gated)")
 
     failures.extend(scale_failures)
-    failures.extend(mobility_failures)
     if failures:
         print(f"\nperf_gate: {len(failures)} failure(s) "
               f"(threshold +{args.threshold * 100.0:.0f}% micro, "
-              f"-{args.scale_threshold * 100.0:.0f}% scale, "
-              f"±{args.mobility_threshold * 100.0:.0f}% mobility):",
+              f"-{args.scale_threshold * 100.0:.0f}% scale):",
               file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
@@ -285,8 +202,6 @@ def main() -> int:
     gated = f"all {len(baseline)} benchmarks"
     if scale:
         gated += f" and {len(args.scale_points)} scale point(s)"
-    if mobility:
-        gated += " and the mobility grid"
     print(f"\nperf_gate: {gated} within threshold of baseline")
     return 0
 
