@@ -50,6 +50,38 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(256)->Arg(4096);
 
+/// The queue as beaconing loads it: N pending HELLO ticks spread over one
+/// 10 s interval (beacon_scale holds ~1e5). Each popped tick re-arms
+/// itself 10 s later and schedules ten kDeliver records 5 ms later, the
+/// medium's fan-out at the paper's density, so about nine in ten popped
+/// events are deliveries. Items are events.
+void BM_EventQueueBeaconMix(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const sim::Time period = sim::Time::from_seconds(10.0);
+  const sim::Time prop_delay = sim::Time::from_seconds(0.005);
+  constexpr std::uint64_t kFanout = 10;
+  sim::EventQueue q;
+  util::Rng rng(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    q.schedule(sim::Time::from_ticks(static_cast<std::int64_t>(
+                   rng.uniform_int(
+                       0, static_cast<std::uint64_t>(period.ticks() - 1)))),
+               sim::EventTag::hello_tick(i));
+  }
+  for (auto _ : state) {
+    const sim::Event ev = q.pop();
+    if (ev.tag.kind == sim::EventTag::Kind::kHelloTick) {
+      q.schedule(ev.when + period, ev.tag);
+      for (std::uint64_t k = 0; k < kFanout; ++k) {
+        q.schedule(ev.when + prop_delay, sim::EventTag::deliver(k, 0));
+      }
+    }
+    benchmark::DoNotOptimize(ev.tag.a);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueBeaconMix)->Arg(100)->Arg(100000);
+
 /// A network at beacon_scale's density (100 nodes per km², 180 m range:
 /// about ten neighbors each) with no beaconing started, for driving single
 /// transmissions by hand.

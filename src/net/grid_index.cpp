@@ -6,48 +6,72 @@
 
 namespace imobif::net {
 
-GridIndex::GridIndex(double cell_size) : cell_size_(cell_size) {
+namespace {
+// key() keeps 32 bits of each cell coordinate; cell_of clamps to this.
+constexpr double kCellLimit = 2147483647.0;
+// Initial bucket count, a power of two (the table doubles from here).
+constexpr unsigned kInitialBucketBits = 6;
+}  // namespace
+
+GridIndex::GridIndex(double cell_size)
+    : cell_size_(cell_size),
+      shift_(64 - kInitialBucketBits),
+      buckets_(std::size_t{1} << kInitialBucketBits) {
   if (cell_size <= 0.0) {
     throw std::invalid_argument("GridIndex: cell_size must be > 0");
   }
 }
 
 GridIndex::Cell GridIndex::cell_of(geom::Vec2 p) const {
-  // key() keeps 32 bits of each cell coordinate, so cells past that range
-  // alias anyway. Clamping to it keeps the conversion defined for any
-  // coordinate, NaN included (it fails the first comparison).
-  constexpr double kLimit = 2147483647.0;
+  // Cells past key()'s range alias anyway. Clamping to it keeps the
+  // conversion defined for any coordinate, NaN included (it fails the
+  // first comparison).
   const auto axis = [&](double v) {
     const double c = std::floor(v / cell_size_);
-    return static_cast<std::int64_t>(c >= -kLimit ? (c <= kLimit ? c : kLimit)
-                                                  : -kLimit);
+    return static_cast<std::int64_t>(
+        c >= -kCellLimit ? (c <= kCellLimit ? c : kCellLimit) : -kCellLimit);
   };
   return Cell{axis(p.x), axis(p.y)};
 }
 
 std::uint64_t GridIndex::key(Cell c) {
-  // Interleave-free pairing: offset into unsigned halves.
+  // Interleave-free pairing: offset into unsigned halves. A clamped x
+  // offsets to at least 1, so no cell_of cell has key 0 (kAbsent).
   const auto ux = static_cast<std::uint64_t>(c.x + (1LL << 31));
   const auto uy = static_cast<std::uint64_t>(c.y + (1LL << 31));
   return (ux << 32) | (uy & 0xffffffffULL);
 }
 
-void GridIndex::insert(Id id, geom::Vec2 position) {
-  const std::uint64_t cell_key = key(cell_of(position));
-  if (!where_.emplace(id, cell_key).second) {
-    throw std::invalid_argument("GridIndex: duplicate id");
+void GridIndex::grow() {
+  std::vector<std::vector<Slot>> old(buckets_.size() * 2);
+  old.swap(buckets_);
+  --shift_;
+  // A cell's slots all sit in one old bucket, in order, and land in one
+  // new bucket in that order.
+  for (const std::vector<Slot>& bucket : old) {
+    for (const Slot& slot : bucket) {
+      buckets_[bucket_of(slot.key)].push_back(slot);
+    }
   }
-  buckets_[cell_key].push_back(Slot{id, position.x, position.y});
+}
+
+void GridIndex::insert(Id id, geom::Vec2 position) {
+  if (contains(id)) throw std::invalid_argument("GridIndex: duplicate id");
+  if (id >= where_.size()) where_.resize(std::size_t{id} + 1, kAbsent);
+  const std::uint64_t cell_key = key(cell_of(position));
+  where_[id] = cell_key;
+  if (++size_ > buckets_.size()) grow();
+  buckets_[bucket_of(cell_key)].push_back(
+      Slot{cell_key, position.x, position.y, id});
 }
 
 void GridIndex::update(Id id, geom::Vec2 new_position) {
-  const auto it = where_.find(id);
-  if (it == where_.end()) {
+  if (!contains(id)) {
     throw std::out_of_range("GridIndex: update of unknown id");
   }
-  const std::uint64_t old_key = it->second;
+  const std::uint64_t old_key = where_[id];
   const std::uint64_t new_key = key(cell_of(new_position));
-  auto& old_bucket = buckets_[old_key];
+  std::vector<Slot>& old_bucket = buckets_[bucket_of(old_key)];
   const auto slot = std::find_if(
       old_bucket.begin(), old_bucket.end(),
       [id](const Slot& s) { return s.id == id; });
@@ -56,12 +80,12 @@ void GridIndex::update(Id id, geom::Vec2 new_position) {
     slot->y = new_position.y;
     return;
   }
-  // Ordered erase: within-bucket insertion order is part of the broadcast
+  // Ordered erase: within-cell insertion order is part of the broadcast
   // delivery order contract, so no swap-with-back shortcut.
   old_bucket.erase(slot);
-  if (old_bucket.empty()) buckets_.erase(old_key);
-  buckets_[new_key].push_back(Slot{id, new_position.x, new_position.y});
-  it->second = new_key;
+  buckets_[bucket_of(new_key)].push_back(
+      Slot{new_key, new_position.x, new_position.y, id});
+  where_[id] = new_key;
 }
 
 std::vector<GridIndex::Id> GridIndex::query(geom::Vec2 center,
@@ -74,10 +98,19 @@ std::vector<GridIndex::Id> GridIndex::query(geom::Vec2 center,
 
 std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
                                                  double max_radius) const {
-  if (max_radius < 0.0 || where_.empty()) return std::nullopt;
+  if (std::isnan(max_radius)) {
+    throw std::invalid_argument("GridIndex::nearest: radius is NaN");
+  }
+  if (max_radius < 0.0 || size_ == 0) return std::nullopt;
   const Cell base = cell_of(center);
   const double max_sq = max_radius * max_radius;
-  const auto max_ring = static_cast<std::int64_t>(max_radius / cell_size_) + 1;
+  // No ring past key()'s cell range reaches a new cell, so the ring count
+  // is clamped like cell_of's coordinates; an infinite radius stays
+  // defined.
+  const auto max_ring =
+      static_cast<std::int64_t>(
+          std::min(std::floor(max_radius / cell_size_), 2.0 * kCellLimit)) +
+      1;
   std::optional<Hit> best;
 
   const auto consider = [&](const Slot& slot) {
@@ -92,9 +125,7 @@ std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
     if (better) best = Hit{slot.id, geom::Vec2{slot.x, slot.y}, d_sq};
   };
   const auto scan_cell = [&](std::int64_t cx, std::int64_t cy) {
-    const auto it = buckets_.find(key(Cell{cx, cy}));
-    if (it == buckets_.end()) return;
-    for (const Slot& slot : it->second) consider(slot);
+    for_each_slot_in(Cell{cx, cy}, consider);
   };
 
   for (std::int64_t ring = 0; ring <= max_ring; ++ring) {
@@ -112,8 +143,7 @@ std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
       scan_cell(base.x, base.y);
       continue;
     }
-    // Perimeter of the ring, same (dx, dy) sweep order as
-    // for_each_in_range for determinism.
+    // Perimeter of the ring, x-major then y like for_each_in_range.
     for (std::int64_t dx = -ring; dx <= ring; ++dx) {
       if (dx == -ring || dx == ring) {
         for (std::int64_t dy = -ring; dy <= ring; ++dy) {
@@ -129,20 +159,12 @@ std::optional<GridIndex::Hit> GridIndex::nearest(geom::Vec2 center,
 }
 
 std::size_t GridIndex::approx_bytes() const {
-  std::size_t bucket_bytes = 0;
-  // astlint:allow(unordered-iteration): integer capacity sum, commutative
-  for (const auto& [cell_key, bucket] : buckets_) {
-    (void)cell_key;
-    bucket_bytes += bucket.capacity() * sizeof(Slot);
+  std::size_t bytes = buckets_.capacity() * sizeof(std::vector<Slot>) +
+                      where_.capacity() * sizeof(std::uint64_t);
+  for (const std::vector<Slot>& bucket : buckets_) {
+    bytes += bucket.capacity() * sizeof(Slot);
   }
-  // Flat estimates for the node-based maps: payload plus two pointers of
-  // bookkeeping per node; a floor, not an exact figure.
-  using BucketPair =
-      std::pair<const std::uint64_t, std::vector<Slot>>;
-  using WherePair = std::pair<const Id, std::uint64_t>;
-  return bucket_bytes +
-         buckets_.size() * (sizeof(BucketPair) + 2 * sizeof(void*)) +
-         where_.size() * (sizeof(WherePair) + 2 * sizeof(void*));
+  return bytes;
 }
 
 }  // namespace imobif::net

@@ -21,8 +21,14 @@ EventId EventQueue::schedule(Time when, const EventTag& tag) {
   Slot& s = slots_[slot];
   s.tag = tag;
   ++s.gen;  // even (free) -> odd (pending)
-  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry entry{when, next_seq_++, slot, s.gen};
+  if (tag.kind == EventTag::Kind::kDeliver &&
+      (lane_.empty() || when >= lane_.back().when)) {
+    lane_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   ++live_count_;
   return (static_cast<EventId>(s.gen) << 32) | slot;
 }
@@ -43,26 +49,34 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::drop_dead_top() const {
+void EventQueue::drop_dead_fronts() const {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
+  while (!lane_.empty() && !entry_live(lane_.front())) lane_.pop_front();
 }
 
 Time EventQueue::next_time() const {
-  drop_dead_top();
-  return heap_.empty() ? Time::infinity() : heap_.front().when;
+  if (live_count_ == 0) return Time::infinity();
+  drop_dead_fronts();
+  return lane_first() ? lane_.front().when : heap_.front().when;
 }
 
 Event EventQueue::pop() {
   if (live_count_ == 0) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  drop_dead_top();
-  const Entry next = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  drop_dead_fronts();
+  Entry next{};
+  if (lane_first()) {
+    next = lane_.front();
+    lane_.pop_front();
+  } else {
+    next = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
   IMOBIF_ASSERT(next.when >= last_popped_,
                 "event times must be popped in non-decreasing order");
   last_popped_ = next.when;
@@ -74,10 +88,12 @@ Event EventQueue::pop() {
 std::vector<Event> EventQueue::pending() const {
   std::vector<Event> out;
   out.reserve(live_count_);
-  for (const Entry& entry : heap_) {
-    if (!entry_live(entry)) continue;  // cancelled, not yet dropped
+  const auto collect = [&](const Entry& entry) {
+    if (!entry_live(entry)) return;  // cancelled, not yet dropped
     out.push_back(Event{entry.when, entry.seq, slots_[entry.slot].tag});
-  }
+  };
+  for (const Entry& entry : heap_) collect(entry);
+  for (const Entry& entry : lane_) collect(entry);
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
@@ -86,7 +102,7 @@ std::vector<Event> EventQueue::pending() const {
 }
 
 std::size_t EventQueue::approx_bytes() const {
-  return heap_.capacity() * sizeof(Entry) +
+  return (heap_.capacity() + lane_.size()) * sizeof(Entry) +
          slots_.capacity() * sizeof(Slot) +
          free_slots_.capacity() * sizeof(std::uint32_t);
 }

@@ -1,6 +1,6 @@
-// Discrete-event queue: a binary heap of (time, sequence, slot) entries
-// over a slot table of event records, with O(log n) push/pop and lazy
-// cancellation.
+// Discrete-event queue: a binary heap of (time, sequence, slot) entries,
+// plus a FIFO lane for deliveries, over a slot table of event records,
+// with O(log n) push/pop and lazy cancellation.
 //
 // Ties in time are broken by insertion sequence, so same-tick events run in
 // the order they were scheduled — this determinism is what makes the
@@ -17,13 +17,25 @@
 // generation and is refused, leaving the new occupant alone. Ids are never
 // 0 (a live generation is odd), which callers use as "no event".
 //
+// The delivery lane: about nine in ten events are kDeliver records, and
+// the medium schedules every one at now + propagation delay, so they
+// arrive in (time, seq) order. schedule() appends a kDeliver entry to a
+// deque when its time is not before the lane's back and pushes anything
+// else (other kinds, or an out-of-order delivery) onto the heap. The lane
+// is then sorted by (time, seq) like the heap's pop order, so pop() takes
+// the earlier of the heap top and the lane front: the popped stream, seq
+// values included, is exactly that of one heap, while most events skip
+// the O(log n) sift through a heap that holds every pending HELLO tick.
+// Cancelled lane entries are dropped lazily at the front, as on the heap.
+//
 // The heap is a std::vector managed with std::push_heap/pop_heap (not a
 // std::priority_queue) so live events can be *enumerated* for
-// checkpointing: pending() returns every live event in execution order
-// without disturbing the queue.
+// checkpointing: pending() returns every live event of both containers in
+// execution order without disturbing the queue.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "sim/event_tag.hpp"
@@ -55,7 +67,8 @@ class EventQueue {
   /// Every live event in execution order (time, then insertion sequence).
   std::vector<Event> pending() const;
 
-  /// Heap-allocated bytes of the queue's vectors (scale accounting).
+  /// Heap-allocated bytes of the queue's containers (scale accounting;
+  /// the lane counts its entries, not its deque blocks).
   std::size_t approx_bytes() const;
 
  private:
@@ -82,11 +95,20 @@ class EventQueue {
   }
   /// Ends the slot's current event (popped or cancelled) and frees it.
   void release(std::uint32_t slot);
-  /// Pops cancelled entries off the top (lazy cancellation).
-  void drop_dead_top() const;
+  /// Drops cancelled entries off the heap top and the lane front (lazy
+  /// cancellation).
+  void drop_dead_fronts() const;
+  /// After drop_dead_fronts(): true when the earliest live entry is the
+  /// lane's front. Requires a live entry.
+  bool lane_first() const {
+    return !lane_.empty() &&
+           (heap_.empty() || Later{}(heap_.front(), lane_.front()));
+  }
 
   /// Max-heap under Later: the earliest (time, seq) on top.
   mutable std::vector<Entry> heap_;
+  /// kDeliver entries in (time, seq) order, the earliest in front.
+  mutable std::deque<Entry> lane_;
   // snap:derived(schedule)
   std::vector<Slot> slots_;
   // snap:derived(schedule)

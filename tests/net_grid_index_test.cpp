@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "util/rng.hpp"
@@ -126,6 +127,50 @@ TEST(GridIndexNearest, EqualDistanceBreaksToLowestId) {
   const auto hit = index.nearest({0.0, 0.0}, 100.0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->id, 3u);
+}
+
+TEST(GridIndexNearest, InfiniteRadiusFindsTheClosest) {
+  // An unbounded search: the ring count is clamped to the key range
+  // instead of converting an infinite quotient to an integer.
+  GridIndex index(100.0);
+  index.insert(1, {250.0, 0.0});
+  index.insert(2, {-90.0, 40.0});
+  const auto hit =
+      index.nearest({0.0, 0.0}, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->id, 2u);
+  EXPECT_EQ(hit->distance_sq, 90.0 * 90.0 + 40.0 * 40.0);
+}
+
+TEST(GridIndexNearest, NanRadiusThrows) {
+  GridIndex index(100.0);
+  index.insert(1, {0.0, 0.0});
+  EXPECT_THROW(
+      index.nearest({0.0, 0.0}, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+}
+
+TEST(GridIndex, NegativeOrNanRadiusMatchesNothing) {
+  GridIndex index(100.0);
+  index.insert(1, {50.0, 50.0});
+  EXPECT_TRUE(index.query({50.0, 50.0}, -10.0).empty());
+  EXPECT_TRUE(
+      index.query({50.0, 50.0}, std::numeric_limits<double>::quiet_NaN())
+          .empty());
+}
+
+TEST(GridIndex, SparseIdsAreTrackedIndividually) {
+  GridIndex index(100.0);
+  index.insert(40, {10.0, 10.0});
+  EXPECT_TRUE(index.contains(40));
+  EXPECT_FALSE(index.contains(39));
+  EXPECT_FALSE(index.contains(41));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_THROW(index.update(39, {0.0, 0.0}), std::out_of_range);
+  index.insert(39, {20.0, 10.0});
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.query({15.0, 10.0}, 10.0),
+            (std::vector<GridIndex::Id>{40, 39}));
 }
 
 // Property: query() agrees with brute force over random insert / move /

@@ -10,11 +10,18 @@
 // Clouds are seeded and deliberately adversarial: positions exactly on cell
 // boundaries (integer multiples of the cell size, where floor-based cell
 // assignment is most fragile), coincident points, and dense random fill.
+//
+// The sorted comparisons check the hit *set*; the ordered reference at the
+// end checks the hit *sequence*, which is the determinism contract that
+// broadcast delivery order rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -234,6 +241,176 @@ TEST(GridVsBruteForce, NearestRingTermination) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->id, want->id);
   EXPECT_EQ(got->id, 2u);
+}
+
+/// Ordered oracle: the visit-order contract spelled out without a grid.
+/// Hits come in (cell x, cell y, insertion order into that cell), and a
+/// move to another cell is an ordered erase plus an append to the new one.
+class OrderedReference {
+ public:
+  explicit OrderedReference(double cell) : cell_(cell) {}
+
+  void insert(GridIndex::Id id, geom::Vec2 p) {
+    cells_[cell_of(p)].push_back({id, p});
+    where_[id] = cell_of(p);
+  }
+
+  void update(GridIndex::Id id, geom::Vec2 p) {
+    const Cell from = where_.at(id);
+    const Cell to = cell_of(p);
+    std::vector<RefPoint>& bucket = cells_[from];
+    const auto it = std::find_if(bucket.begin(), bucket.end(),
+                                 [id](const RefPoint& r) { return r.id == id; });
+    if (from == to) {
+      it->position = p;
+      return;
+    }
+    bucket.erase(it);
+    cells_[to].push_back({id, p});
+    where_[id] = to;
+  }
+
+  std::vector<GridIndex::Id> range(geom::Vec2 center, double radius) const {
+    std::vector<GridIndex::Id> out;
+    const double radius_sq = radius * radius;
+    for (const auto& [cell, bucket] : cells_) {
+      for (const RefPoint& p : bucket) {
+        if (geom::distance_sq(p.position, center) <= radius_sq) {
+          out.push_back(p.id);
+        }
+      }
+    }
+    return out;
+  }
+
+  std::vector<RefPoint> points() const {
+    std::vector<RefPoint> out;
+    for (const auto& [cell, bucket] : cells_) {
+      out.insert(out.end(), bucket.begin(), bucket.end());
+    }
+    return out;
+  }
+
+ private:
+  using Cell = std::pair<std::int64_t, std::int64_t>;
+  Cell cell_of(geom::Vec2 p) const {
+    return {static_cast<std::int64_t>(std::floor(p.x / cell_)),
+            static_cast<std::int64_t>(std::floor(p.y / cell_))};
+  }
+
+  double cell_;
+  std::map<Cell, std::vector<RefPoint>> cells_;  // (x, y) lexicographic
+  std::map<GridIndex::Id, Cell> where_;
+};
+
+void expect_same_sequence(const GridIndex& index, const OrderedReference& ref,
+                          geom::Vec2 center, double radius, int step) {
+  const std::vector<GridIndex::Id> expected = ref.range(center, radius);
+  std::vector<GridIndex::Id> visited;
+  index.for_each_in_range(center, radius, [&](GridIndex::Id id, geom::Vec2) {
+    visited.push_back(id);
+  });
+  ASSERT_EQ(visited, expected)
+      << "step " << step << ": for_each_in_range order at (" << center.x
+      << ", " << center.y << ") radius " << radius;
+  ASSERT_EQ(index.query(center, radius), expected) << "step " << step;
+}
+
+// Exact hit sequences against the ordered oracle while the index grows
+// from empty to thousands of dense ids, under moves within and between
+// cells, negative coordinates, cell-edge lattice positions, and the radii
+// the simulator uses: the cell size itself (Medium), the padded
+// r * (1 + 1e-9) of routing and the instance sampler, and wider ones.
+TEST(GridVsOrderedReference, VisitOrderThroughGrowthAndChurn) {
+  for (const std::uint64_t seed : {3ULL, 20050610ULL}) {
+    util::Rng rng(seed);
+    constexpr double kCell = 180.0;
+    GridIndex index(kCell);
+    OrderedReference ref(kCell);
+    std::vector<geom::Vec2> position;
+
+    const auto random_position = [&] {
+      geom::Vec2 p{rng.uniform(-1500.0, 1500.0), rng.uniform(-1500.0, 1500.0)};
+      switch (rng.uniform_int(0, 4)) {
+        case 0:  // on a vertical cell edge
+          p.x = std::round(p.x / kCell) * kCell;
+          break;
+        case 1:  // on a cell corner
+          p.x = std::round(p.x / kCell) * kCell;
+          p.y = std::round(p.y / kCell) * kCell;
+          break;
+        case 2:  // on a horizontal cell edge
+          p.y = std::round(p.y / kCell) * kCell;
+          break;
+        default:
+          break;
+      }
+      return p;
+    };
+    const auto random_center = [&]() -> geom::Vec2 {
+      if (rng.uniform_int(0, 2) == 0 && !position.empty()) {
+        return position[rng.uniform_int(0, position.size() - 1)];
+      }
+      return {rng.uniform(-1700.0, 1700.0), rng.uniform(-1700.0, 1700.0)};
+    };
+    const double radii[] = {kCell, kCell * (1.0 + 1e-9), 0.5 * kCell,
+                            2.5 * kCell, 0.0};
+
+    int step = 0;
+    while (position.size() < 2500) {
+      // Growth in bursts, so the index crosses several size doublings
+      // between checks.
+      const auto burst = static_cast<std::size_t>(rng.uniform_int(1, 40));
+      for (std::size_t k = 0; k < burst; ++k) {
+        const auto id = static_cast<GridIndex::Id>(position.size());
+        const geom::Vec2 p = random_position();
+        index.insert(id, p);
+        ref.insert(id, p);
+        position.push_back(p);
+      }
+      for (int k = 0; k < 6; ++k, ++step) {
+        const auto id =
+            static_cast<GridIndex::Id>(rng.uniform_int(0, position.size() - 1));
+        geom::Vec2 p;
+        if (rng.uniform_int(0, 1) == 0) {
+          // Within the current cell (the origin corner included).
+          const geom::Vec2 corner{std::floor(position[id].x / kCell) * kCell,
+                                  std::floor(position[id].y / kCell) * kCell};
+          p = {corner.x + std::floor(rng.uniform(0.0, 4.0)) * 0.25 * kCell,
+               corner.y + rng.uniform(0.0, 0.99) * kCell};
+        } else {
+          p = random_position();
+        }
+        index.update(id, p);
+        ref.update(id, p);
+        position[id] = p;
+        const geom::Vec2 center = random_center();
+        for (const double r : radii) {
+          expect_same_sequence(index, ref, center, r, step);
+        }
+        const double r = rng.uniform(0.0, 3.0 * kCell);
+        expect_same_sequence(index, ref, center, r, step);
+        // nearest() still agrees with brute force after each growth step.
+        const auto want = brute_nearest(ref.points(), center, r);
+        const auto got = index.nearest(center, r);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (got.has_value()) {
+          EXPECT_EQ(got->id, want->id) << "step " << step;
+          EXPECT_EQ(got->distance_sq, want->distance_sq) << "step " << step;
+        }
+      }
+    }
+    EXPECT_EQ(index.size(), position.size());
+    // Every lattice point of a window, at the simulator's radii.
+    for (int ix = -5; ix <= 5; ++ix) {
+      for (int iy = -5; iy <= 5; ++iy) {
+        const geom::Vec2 c{ix * kCell, iy * kCell};
+        for (const double r : radii) {
+          expect_same_sequence(index, ref, c, r, -1);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -350,6 +350,136 @@ TEST(EventQueue, RandomizedCancelAndReuseMatchesReference) {
   }
 }
 
+// --- The delivery lane ----------------------------------------------------
+
+EventTag delivery(int i) {
+  return EventTag::deliver(static_cast<std::uint64_t>(i), 0);
+}
+
+TEST(EventQueueLane, DeliveriesInterleaveWithTicksBySeq) {
+  // Same-tick records alternate between the heap (ticks) and the lane
+  // (deliveries); insertion order still decides.
+  EventQueue q;
+  const Time t = Time::from_seconds(1.0);
+  for (int i = 0; i < 8; ++i) q.schedule(t, i % 2 == 0 ? label(i) : delivery(i));
+  q.schedule(Time::from_seconds(0.5), delivery(8));  // out of order: heap
+  q.schedule(Time::from_seconds(0.5), label(9));
+  EXPECT_EQ(drain(q), (std::vector<int>{8, 9, 0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventQueueLane, OutOfOrderDeliveryFallsBackToTheHeap) {
+  EventQueue q;
+  q.schedule(Time::from_seconds(2.0), delivery(0));
+  q.schedule(Time::from_seconds(1.0), delivery(1));  // before the lane's back
+  q.schedule(Time::from_seconds(2.0), delivery(2));
+  q.schedule(Time::from_seconds(3.0), delivery(3));
+  EXPECT_EQ(q.next_time(), Time::from_seconds(1.0));
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 0, 2, 3}));
+}
+
+TEST(EventQueueLane, CancelledLaneFrontIsSkipped) {
+  EventQueue q;
+  const EventId first = q.schedule(Time::from_seconds(1.0), delivery(0));
+  q.schedule(Time::from_seconds(2.0), delivery(1));
+  q.schedule(Time::from_seconds(1.5), label(2));
+  ASSERT_TRUE(q.cancel(first));
+  EXPECT_EQ(q.next_time(), Time::from_seconds(1.5));
+  // The freed slot goes to a new delivery behind the lane's back.
+  const EventId reused = q.schedule(Time::from_seconds(2.0), delivery(3));
+  EXPECT_EQ(static_cast<std::uint32_t>(reused),
+            static_cast<std::uint32_t>(first));
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.pending().size(), 3u);
+  EXPECT_EQ(drain(q), (std::vector<int>{2, 1, 3}));
+}
+
+TEST(EventQueueLane, RandomizedMixMatchesReference) {
+  // Differential check of the lane beside the heap: in-order deliveries
+  // (the medium's now + delay), out-of-order ones that fall back to the
+  // heap, HELLO ticks tied with deliveries on the same tick, and cancels
+  // of lane entries with slot reuse. Pop order, seq values, pending() and
+  // size() must equal a pure (time, seq) reference.
+  for (const std::uint64_t seed : {1ULL, 77ULL, 9001ULL}) {
+    EventQueue q;
+    struct Ref {
+      std::int64_t ticks;
+      std::uint64_t seq;
+      int label;
+      EventId id;
+    };
+    const auto earlier = [](const Ref& a, const Ref& b) {
+      return a.ticks != b.ticks ? a.ticks < b.ticks : a.seq < b.seq;
+    };
+    std::vector<Ref> live;
+    std::uint64_t x = seed;
+    std::uint64_t seq = 0;
+    int next_label = 0;
+    const auto rnd = [&x] {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      return x >> 33;
+    };
+    std::int64_t now = 0;
+    constexpr std::int64_t kDelay = 5;
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint64_t op = rnd() % 10;
+      if (op <= 3 || live.empty()) {
+        // A fan-out: several in-order deliveries at now + delay.
+        const auto fan = static_cast<int>(rnd() % 4) + 1;
+        for (int k = 0; k < fan; ++k) {
+          const EventId id =
+              q.schedule(Time::from_ticks(now + kDelay), delivery(next_label));
+          live.push_back({now + kDelay, seq++, next_label++, id});
+        }
+      } else if (op == 4) {
+        // A delivery earlier than the lane's back.
+        const std::int64_t t = now + static_cast<std::int64_t>(rnd() % kDelay);
+        const EventId id = q.schedule(Time::from_ticks(t), delivery(next_label));
+        live.push_back({t, seq++, next_label++, id});
+      } else if (op == 5) {
+        // A HELLO tick, often on a delivery's tick.
+        const std::int64_t t =
+            now + (rnd() % 2 == 0 ? kDelay
+                                  : static_cast<std::int64_t>(rnd() % 20));
+        const EventId id = q.schedule(Time::from_ticks(t), label(next_label));
+        live.push_back({t, seq++, next_label++, id});
+      } else if (op == 6) {
+        const std::size_t victim = rnd() % live.size();
+        ASSERT_TRUE(q.cancel(live[victim].id));
+        EXPECT_FALSE(q.cancel(live[victim].id));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        const auto first = std::min_element(live.begin(), live.end(), earlier);
+        EXPECT_EQ(q.next_time().ticks(), first->ticks);
+        const Event ev = q.pop();
+        ASSERT_EQ(ev.when.ticks(), first->ticks) << "step " << step;
+        ASSERT_EQ(ev.seq, first->seq) << "step " << step;
+        ASSERT_EQ(label_of(ev), first->label) << "step " << step;
+        now = first->ticks;
+        live.erase(first);
+      }
+      ASSERT_EQ(q.size(), live.size());
+      if (step % 500 == 0) {
+        std::vector<Ref> order = live;
+        std::sort(order.begin(), order.end(), earlier);
+        const std::vector<Event> pending = q.pending();
+        ASSERT_EQ(pending.size(), order.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          EXPECT_EQ(pending[i].seq, order[i].seq) << "pending " << i;
+          EXPECT_EQ(label_of(pending[i]), order[i].label) << "pending " << i;
+        }
+      }
+    }
+    std::sort(live.begin(), live.end(), earlier);
+    for (const Ref& ref : live) {
+      const Event ev = q.pop();
+      ASSERT_EQ(ev.seq, ref.seq);
+      ASSERT_EQ(label_of(ev), ref.label);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.next_time(), Time::infinity());
+  }
+}
+
 TEST(EventQueue, ManyEventsStressOrdering) {
   EventQueue q;
   std::vector<std::int64_t> times;

@@ -198,6 +198,41 @@ TEST(SnapCheckpoint, RestoredInFlightPacketsLeaveTheSlabEmpty) {
   EXPECT_EQ(network.medium().packets().in_use(), 0u);
 }
 
+TEST(SnapCheckpoint, PendingDeliveriesReencodeIdentically) {
+  // Snapshots taken mid-fan-out, with deliveries pending beside HELLO
+  // ticks: restore re-inserts every record in execution order, so the
+  // restored queue re-encodes to the same bytes and both copies stay in
+  // step event by event.
+  const exp::ScenarioParams params = base_params();
+  util::Rng rng(params.seed);
+  const exp::FlowInstance instance = exp::sample_instance(params, rng);
+  auto run = exp::InstanceRun::create(instance, params,
+                                      core::MobilityMode::kInformed, {});
+  const auto deliveries = [](exp::InstanceRun& r) {
+    std::size_t n = 0;
+    for (const sim::Event& ev : r.network().simulator().pending()) {
+      if (ev.tag.kind == sim::EventTag::Kind::kDeliver) ++n;
+    }
+    return n;
+  };
+  for (int snapshot = 0; snapshot < 3; ++snapshot) {
+    ASSERT_FALSE(run->advance(301));
+    // Stop between two deliveries of one broadcast.
+    while (deliveries(*run) < 2) ASSERT_FALSE(run->advance(1));
+    ASSERT_FALSE(run->advance(1));
+    ASSERT_GE(deliveries(*run), 1u);
+
+    const std::string bytes = encode(*run);
+    auto restored = restore(bytes);
+    EXPECT_EQ(encode(*restored), bytes);
+    for (int step = 0; step < 40; ++step) {
+      ASSERT_FALSE(run->advance(1));
+      ASSERT_FALSE(restored->advance(1));
+      ASSERT_EQ(encode(*restored), encode(*run)) << "step " << step;
+    }
+  }
+}
+
 TEST(SnapCheckpoint, DebugJsonNamesEverySection) {
   const exp::ScenarioParams params = base_params();
   util::Rng rng(params.seed);
