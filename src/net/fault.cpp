@@ -87,7 +87,7 @@ bool FaultInjector::should_drop(NodeId from, NodeId to) {
 std::vector<FaultInjector::LinkSnapshot> FaultInjector::link_states() const {
   std::vector<LinkSnapshot> out;
   out.reserve(links_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
+  // lint:allow(unordered-iteration): extract-then-sort; order fixed below
   for (const auto& [key, state] : links_) {
     out.push_back(LinkSnapshot{key, state.packets, state.bad});
   }

@@ -36,7 +36,7 @@ std::vector<const FlowEntry*> FlowTable::all() const {
   // this list, so iteration order must not depend on hash-map layout.
   std::vector<const FlowEntry*> out;
   out.reserve(entries_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
+  // lint:allow(unordered-iteration): extract-then-sort; order fixed below
   for (const auto& [id, entry] : entries_) out.push_back(&entry);
   std::sort(out.begin(), out.end(),
             [](const FlowEntry* a, const FlowEntry* b) {

@@ -8,7 +8,7 @@
 // Network owns its traffic generators; the net->traffic seam is deliberate
 // (DESIGN.md section 14) and a layering refactor is out of scope for the
 // zero-runtime-change static-analysis PR.
-// snaplint:allow(layer-violation): deliberate net->traffic seam
+// lint:allow(layer-violation): deliberate net->traffic seam
 #include "traffic/generator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -239,7 +239,7 @@ std::vector<const FlowProgress*> Network::all_progress() const {
   // Sorted by flow id for deterministic multi-flow reporting and encoding.
   std::vector<const FlowProgress*> out;
   out.reserve(flows_.size());
-  // astlint:allow(unordered-iteration): extract-then-sort; order fixed below
+  // lint:allow(unordered-iteration): extract-then-sort; order fixed below
   for (const auto& [id, prog] : flows_) out.push_back(&prog);
   std::sort(out.begin(), out.end(),
             [](const FlowProgress* a, const FlowProgress* b) {
@@ -250,7 +250,7 @@ std::vector<const FlowProgress*> Network::all_progress() const {
 
 bool Network::all_flows_complete() const {
   if (flows_.empty()) return true;
-  // astlint:allow(unordered-iteration): all_of is a commutative bool fold
+  // lint:allow(unordered-iteration): all_of is a commutative bool fold
   return std::all_of(flows_.begin(), flows_.end(),
                      [](const auto& kv) { return kv.second.completed; });
 }

@@ -17,7 +17,7 @@
 // Network owns its traffic generators; the net->traffic seam is deliberate
 // (DESIGN.md section 14) and a layering refactor is out of scope for the
 // zero-runtime-change static-analysis PR.
-// snaplint:allow(layer-violation): deliberate net->traffic seam
+// lint:allow(layer-violation): deliberate net->traffic seam
 #include "traffic/params.hpp"
 #include "util/units.hpp"
 

@@ -11,7 +11,7 @@
 // zero-overhead shims over <mutex>.
 //
 // Raw std::mutex / std::condition_variable members are banned everywhere
-// in src/ by the AST linter (tools/imobif_astlint.py, rule raw-mutex):
+// in src/ by the linter (tools/imobif_lint.py, rule raw-mutex):
 // a raw mutex is invisible to the analysis, so a guard that nobody
 // annotates is a guard nobody checks. This header is the single place
 // the raw primitives may appear.

@@ -1,6 +1,6 @@
 // Field sensitivity of snap::state_hash (DESIGN.md §9/§15).
 //
-// The checkpoint-exhaustiveness gate (tools/imobif_snaplint.py) proves
+// The checkpoint-exhaustiveness gate (tools/imobif_lint.py) proves
 // statically that every mutable field is persisted or annotated; this test
 // proves the complementary dynamic property: the digest actually *depends*
 // on each persisted dynamic section. A mid-flight run is perturbed through

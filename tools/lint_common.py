@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Shared helpers for the imobif static analyzers.
+"""Shared machinery of the imobif linter (tools/imobif_lint.py).
 
-Three tools build on this module — imobif_lint.py (token rules),
-imobif_astlint.py (scope/type rules), and imobif_snaplint.py
-(checkpoint-exhaustiveness + architecture layering). Each tool owns its
-rule set and waiver marker; everything below is the common machinery:
+The linter's three rule families — token, determinism and snap — see the
+same files, paths, waivers and C++ statements through this module:
 
   strip_code        comment/string-literal stripping, line by line
+  layer_of          the src/<layer>/ a path belongs to
   Finding           a (path, line, rule, detail) record
-  WaiverSet         per-file waiver parsing with used/stale accounting
+  WaiverSet         per-file lint:allow parsing with used/stale accounting
   load_compile_db   compile_commands.json discovery (dict path -> entry)
   collect_files     source walking restricted to compiled TUs
+  read_lines        every file's lines; an unreadable file exits 2
+  load_cindex / compile_args_for
+                    the optional libclang frontend and its TU arguments
   split_top_level / match_angle_block
                     nesting-aware text splitting for C++ declarators
   Scope / iter_statements
@@ -18,9 +20,9 @@ rule set and waiver marker; everything below is the common machinery:
                     namespace/type/function/block scopes well enough to
                     attribute declarations without a real parser
 
-The scanner is shared verbatim between the AST linter's syntax engine and
-snaplint's field-table builder so the two tools can never disagree about
-what a class member is.
+The scanner is shared verbatim between the determinism family's syntax
+engine and the snap family's field-table builder so the two can never
+disagree about what a class member is.
 """
 
 import json
@@ -87,6 +89,27 @@ def norm_path(path):
     return path.replace(os.sep, "/")
 
 
+def layer_of(path):
+    """The src/ layer directory a path belongs to, or None.
+
+    The last ``src/`` component anchors the layer, so fixture trees that
+    mirror ``src/<layer>/`` (tools/lint_fixtures/src/net/...) scope like
+    the real tree. A file directly under src/ has no layer.
+    """
+    norm = norm_path(path)
+    idx = norm.rfind("src/")
+    if idx == -1:
+        return None
+    rest = norm[idx + len("src/"):]
+    if "/" not in rest:
+        return None
+    return rest.split("/", 1)[0]
+
+
+def in_src(path):
+    return "src/" in norm_path(path)
+
+
 class Finding:
     def __init__(self, path, line_no, rule, detail):
         self.path = path
@@ -101,8 +124,12 @@ class Finding:
         return f"{self.path}:{self.line_no}: [{self.rule}] {self.detail}"
 
 
+WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
+
+
 class WaiverSet:
-    """Waiver comments of one file, with used/stale accounting.
+    """The ``// lint:allow(<rule>)`` comments of one file, with used/stale
+    accounting.
 
     A waiver on line N suppresses a matching finding on line N (same line)
     or N+1 (the line below the comment). Every suppression is recorded so
@@ -111,11 +138,11 @@ class WaiverSet:
     reported as findings themselves.
     """
 
-    def __init__(self, raw_lines, marker_re):
+    def __init__(self, raw_lines):
         self.decls = []  # (comment line, rule) in file order
         self.by_line = {}  # line_no -> {rule -> declaring comment line}
         for no, line in enumerate(raw_lines, 1):
-            m = marker_re.search(line)
+            m = WAIVER_RE.search(line)
             if m:
                 for rule in (r.strip() for r in m.group(1).split(",")):
                     self.decls.append((no, rule))
@@ -131,18 +158,24 @@ class WaiverSet:
         self.used.add((decl_line, rule))
         return True
 
-    def stale(self, known_rules, marker):
-        """Yields Finding-args tuples for unused/misspelled waivers."""
+    def stale(self, known_rules):
+        """Yields (line, detail) for unused/misspelled waivers."""
         for decl_line, rule in self.decls:
             if rule not in known_rules or rule == "stale-waiver":
                 yield (decl_line,
-                       f"{marker}({rule}) names no known rule")
+                       f"lint:allow({rule}) names no known rule")
             elif (decl_line, rule) not in self.used:
                 yield (decl_line,
-                       f"{marker}({rule}) suppresses no finding; remove it")
+                       f"lint:allow({rule}) suppresses no finding; remove it")
 
 
-def load_compile_db(explicit_path, tool_name):
+def fail(message):
+    """A usage or configuration error: exit 2 naming the cause."""
+    print(f"imobif_lint: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def load_compile_db(explicit_path):
     """Returns {realpath -> entry} for the compile database, or None.
 
     With an explicit path, failure to read it is a hard usage error.
@@ -162,9 +195,7 @@ def load_compile_db(explicit_path, tool_name):
         with open(path, encoding="utf-8") as f:
             entries = json.load(f)
     except (OSError, ValueError) as err:
-        print(f"{tool_name}: cannot read compile db {path}: {err}",
-              file=sys.stderr)
-        sys.exit(2)
+        fail(f"cannot read compile db {path}: {err}")
     db = {}
     for entry in entries:
         src = entry.get("file", "")
@@ -174,7 +205,7 @@ def load_compile_db(explicit_path, tool_name):
     return db
 
 
-def collect_files(paths, compile_db, tool_name):
+def collect_files(paths, compile_db):
     """Walks `paths` for lintable sources.
 
     When a compile DB is given, translation units (non-headers) that the
@@ -197,9 +228,77 @@ def collect_files(paths, compile_db, tool_name):
                         continue
                     files.append(full)
         else:
-            print(f"{tool_name}: no such path: {p}", file=sys.stderr)
-            sys.exit(2)
+            fail(f"no such path: {p}")
     return files
+
+
+def read_lines(files):
+    """{path -> lines} for every file; a file that cannot be read or
+    decoded is a hard error (exit 2) rather than a finding no waiver
+    could reach."""
+    lines = {}
+    for path in files:
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines[path] = f.read().splitlines()
+        except (OSError, UnicodeDecodeError) as err:
+            fail(f"unreadable {path}: {err}")
+    return lines
+
+
+LIBCLANG_CANDIDATE_GLOBS = (
+    "/usr/lib/llvm-*/lib/libclang.so*",
+    "/usr/lib/llvm-*/lib/libclang-*.so*",
+    "/usr/lib/x86_64-linux-gnu/libclang-*.so*",
+    "/usr/lib/x86_64-linux-gnu/libclang.so*",
+)
+
+
+def load_cindex():
+    """Returns a configured clang.cindex module, or None with a reason."""
+    try:
+        from clang import cindex
+    except ImportError as err:
+        return None, f"python clang bindings unavailable ({err})"
+    import glob as globmod
+    try:
+        cindex.Index.create()
+        return cindex, None
+    except Exception:  # library not found at default name; probe paths
+        pass
+    for pattern in LIBCLANG_CANDIDATE_GLOBS:
+        for lib in sorted(globmod.glob(pattern), reverse=True):
+            try:
+                cindex.Config.loaded = False
+                cindex.Config.set_library_file(lib)
+                cindex.Index.create()
+                return cindex, None
+            except Exception:
+                continue
+    return None, "no usable libclang shared library found"
+
+
+def compile_args_for(entry):
+    """Extracts clang-parseable arguments from a compile DB entry."""
+    if "arguments" in entry:
+        argv = list(entry["arguments"])
+    else:
+        argv = entry.get("command", "").split()
+    args = []
+    skip = False
+    for token in argv[1:]:  # drop the compiler
+        if skip:
+            skip = False
+            continue
+        if token in ("-c",):
+            continue
+        if token in ("-o",):
+            skip = True
+            continue
+        if token.endswith(SOURCE_EXTS):
+            continue
+        args.append(token)
+    return args
 
 
 def split_top_level(text, sep=","):
