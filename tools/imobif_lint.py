@@ -110,7 +110,9 @@ convention), or ``set_foo``/``restore_foo`` on its class (typed) or on
 any receiver (untyped fallback — deliberate imprecision that keeps the
 scanner honest about chained calls like run.network().medium()). The
 stale-annotation redundancy check uses typed evidence only, so the
-untyped fallback can never call a truthful annotation a lie. Without any
+untyped fallback can never call a truthful annotation a lie. The
+``--report`` JSON lists, under evidence.untyped_only, every field that
+counts as persisted through the untyped fallback alone. Without any
 src/snap .cpp in the run the persisted set is unknowable, so
 unpersisted-field (and the redundancy check) stay silent.
 
@@ -243,6 +245,7 @@ FLOAT_EQ_RE = re.compile(
 )
 PARENT_INCLUDE_RE = re.compile(r'#\s*include\s*"[^"]*\.\./')
 PROJECT_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+INCLUDE_DIRECTIVE_RE = re.compile(r"\s*#\s*include\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 # A function parameter (preceded by '(' or ',') declared as a raw double
 # whose name carries a unit suffix. Fields and locals start a declaration
@@ -1015,6 +1018,11 @@ def collect_evidence_clang(cindex, tu, evidence, tables):
 
 
 def check_exhaustiveness(tables, evidence, have_evidence, report):
+    """Reports the snap findings and returns the untyped-only fields:
+    "Class::field" names counted as persisted only through the untyped
+    fallback, i.e. a same-named member touched on some other receiver."""
+    untyped_only = []
+
     def typed_persisted(cls, field):
         return any((cls, name) in evidence.typed
                    for name in field_lookup_names(field))
@@ -1056,17 +1064,22 @@ def check_exhaustiveness(tables, evidence, have_evidence, report):
                            f"{cls}::{field} is persisted by src/snap; "
                            f"drop the snap:{ann.kind} annotation")
                 continue
-            if have_evidence and not persisted(cls, field):
+            if not have_evidence:
+                continue
+            if not persisted(cls, field):
                 report(path, line, "unpersisted-field",
                        f"mutable field {cls}::{field} is neither "
                        "persisted by src/snap nor annotated "
                        "snap:derived()/snap:transient()")
+            elif not typed_persisted(cls, field):
+                untyped_only.append(f"{cls}::{field}")
 
     for ann in tables.annotations:
         if not ann.used:
             report(ann.path, ann.line, "stale-annotation",
                    f"snap:{ann.kind}({ann.arg}) binds to no field or "
                    "class declaration")
+    return untyped_only
 
 
 # ===========================================================================
@@ -1119,7 +1132,13 @@ def check_layering(path, raw_lines, closure, report):
                "add it to the DAG before code lands there")
         return
     allowed = closure[layer]
+    in_block = False
     for no, raw in enumerate(raw_lines, 1):
+        # A directive inside a comment is no include. strip_code empties
+        # the quoted path, so the path itself is read from the raw line.
+        line, in_block = strip_code(raw, in_block)
+        if not INCLUDE_DIRECTIVE_RE.match(line):
+            continue
         m = PROJECT_INCLUDE_RE.search(raw)
         if not m or "/" not in m.group(1):
             continue
@@ -1293,7 +1312,8 @@ def main(argv):
             print(f"imobif_lint: warning: clang engine: {problem}",
                   file=sys.stderr)
 
-    check_exhaustiveness(tables, evidence, bool(evidence_files), report)
+    untyped_only = check_exhaustiveness(tables, evidence,
+                                        bool(evidence_files), report)
     for path in files:
         check_layering(path, file_lines[path], closure, report)
 
@@ -1318,6 +1338,7 @@ def main(argv):
             "evidence": {
                 "typed": len(evidence.typed),
                 "untyped": len(evidence.untyped),
+                "untyped_only": untyped_only,
                 "sources": [norm_path(rel(p)) for p in evidence_files],
             },
             "findings": [

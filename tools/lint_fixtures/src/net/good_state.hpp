@@ -2,7 +2,8 @@
 // Exercises every way a field can satisfy the exhaustiveness check:
 // typed-persisted (accessor and raw-member encode), restore_-prefixed
 // setter, a valid snap:derived rebuilder, a per-field snap:transient,
-// and a class-level snap:transient covering a config struct.
+// a class-level snap:transient covering a config struct, and a field
+// reached only through a call result (untyped evidence).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,15 @@ struct RelayConfig {
   int retries = 3;
 };
 
+// Persisted through relay.stamp().hop alone: the report's untyped_only
+// list names HopStamp::hop.
+struct HopStamp {
+  std::uint64_t hop = 0;
+};
+
 class RelayState {
  public:
+  const HopStamp& stamp() const { return stamp_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
   void restore_queue_depth(std::uint64_t depth) { queue_depth_ = depth; }
   void rebuild_cache();
@@ -27,6 +35,7 @@ class RelayState {
   std::uint64_t packets_sent_ = 0;
   double residual_j_ = 0.0;
   std::uint64_t queue_depth_ = 0;
+  HopStamp stamp_;
   // snap:derived(rebuild_cache)
   double cache_ = 0.0;
   // snap:transient(scratch, never outlives one tick)

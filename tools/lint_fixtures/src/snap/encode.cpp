@@ -1,5 +1,6 @@
 // Fixture evidence: the snapshot codec for the clean/waived cases.
-// Persists RelayState (accessor, raw member, restore_ setter),
+// Persists RelayState (accessor, raw member, restore_ setter, and
+// HopStamp::hop through an untyped call result),
 // WavedState::seen and TidyState::count through typed receivers.
 #include "net/good_state.hpp"
 
@@ -8,6 +9,7 @@ namespace fixture {
 void encode_relay(const RelayState& state, Sink& sink) {
   sink.u64(state.packets_sent());
   sink.f64(state.residual_j_);
+  sink.u64(state.stamp().hop);
 }
 
 void restore_relay(RelayState& state, Source& source) {

@@ -150,6 +150,7 @@ def check_snap_family():
 
     # Architecture layering against the fixture DAG.
     check(fixture("src", "net", "bad_include.cpp"), {"layer-violation": 1})
+    check(fixture("src", "net", "good_commented_include.cpp"), {})
     check(fixture("src", "plugin", "bad_layer.cpp"), {"unknown-layer": 1})
 
     # A broken DAG is a configuration error, not a finding.
@@ -190,14 +191,16 @@ def check_unreadable():
 
 
 def check_report():
-    """--report mirrors findings, evidence sources and waiver
-    suppressions of every family as JSON."""
+    """--report mirrors findings, evidence sources, the fields persisted
+    only through untyped evidence and waiver suppressions of every family
+    as JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "lint.json")
         code, _ = run_linter("--report", report,
                              fixture("src", "net", "bad_ptr_key.cpp"),
                              fixture("src", "net", "good_iter.cpp"),
                              fixture("src", "net", "bad_state.hpp"),
+                             fixture("src", "net", "good_state.hpp"),
                              fixture("src", "net", "waived.hpp"),
                              fixture("src", "snap", "encode.cpp"),
                              fixture("src", "snap", "encode_bad.cpp"))
@@ -216,6 +219,9 @@ def check_report():
                str(payload))
         expect("report: both evidence sources listed",
                len(payload["evidence"]["sources"]) == 2, str(payload))
+        expect("report: untyped-only evidence listed",
+               payload["evidence"]["untyped_only"] == ["HopStamp::hop"],
+               str(payload))
         expect("report: engines listed",
                "syntax" in payload["frontend"]["engines"], str(payload))
 
