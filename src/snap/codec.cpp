@@ -116,16 +116,6 @@ StateReader::StateReader(std::string_view data) : data_(data) {
   }
 }
 
-StateReader::StateReader(std::unique_ptr<const std::string> owned)
-    : StateReader(std::string_view(*owned)) {
-  // The heap string does not move with the reader, so data_ stays valid.
-  owned_ = std::move(owned);
-}
-
-StateReader StateReader::from_file(const std::string& path) {
-  return StateReader(std::make_unique<const std::string>(read_file(path)));
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -144,7 +134,7 @@ namespace {
 
 void StateReader::fail(const std::string& what) const { fail_at(pos_, what); }
 
-void StateReader::fail_take(Tag expected, const char* payload_name) const {
+void StateReader::fail_take(Tag expected) const {
   if (pos_ >= data_.size()) {
     fail(std::string("truncated stream, expected ") + to_string(expected));
   }
@@ -154,19 +144,21 @@ void StateReader::fail_take(Tag expected, const char* payload_name) const {
          to_string(got));
   }
   // Right tag, short payload: the offset names the payload's first byte.
-  fail_at(pos_ + 1, std::string("truncated ") + payload_name);
+  fail_at(pos_ + 1, std::string("truncated ") + to_string(expected));
 }
 
-std::string_view StateReader::text(Tag tag, const char* body_name) {
-  const std::uint32_t len = take<std::uint32_t>(tag, "u32");
-  if (data_.size() - pos_ < len) fail(std::string("truncated ") + body_name);
+std::string_view StateReader::text(Tag tag) {
+  const std::uint32_t len = take<std::uint32_t>(tag);
+  if (data_.size() - pos_ < len) {
+    fail(std::string("truncated ") + to_string(tag) + " body");
+  }
   const std::string_view body = data_.substr(pos_, len);
   pos_ += len;
   return body;
 }
 
 void StateReader::begin_section(std::string_view expected) {
-  const std::string_view name = text(Tag::kSectionBegin, "section name");
+  const std::string_view name = text(Tag::kSectionBegin);
   if (name != expected) {
     fail_at(pos_ - name.size(), "expected section '" + std::string(expected) +
                                     "', found '" + std::string(name) + "'");
@@ -187,101 +179,61 @@ std::uint64_t StateReader::count(std::size_t min_item_bytes) {
 // --- debug_dump ---
 
 std::string debug_dump(std::string_view data) {
-  StateReader probe(data);  // validates magic + version
-  // Re-walk the raw stream with a private cursor: the typed StateReader
-  // API intentionally has no "peek next tag", so the dump decodes by hand.
-  std::size_t pos = kHeaderBytes;
-  const auto need = [&](std::size_t n) {
-    if (data.size() - pos < n) {
-      throw std::runtime_error("snapshot: truncated stream at byte offset " +
-                               std::to_string(pos));
-    }
-  };
-  const auto read_u32 = [&] {
-    need(4);
-    pos += 4;
-    return detail::load_le<std::uint32_t>(data.data() + pos - 4);
-  };
-  const auto read_u64 = [&] {
-    need(8);
-    pos += 8;
-    return detail::load_le<std::uint64_t>(data.data() + pos - 8);
-  };
-  const auto read_text = [&] {
-    const std::uint32_t len = read_u32();
-    need(len);
-    pos += len;
-    return std::string(data.substr(pos - len, len));
-  };
-
+  StateReader r(data);  // validates magic + version
   util::Json root = util::Json::object();
-  root.set("codec_version", util::Json(static_cast<std::uint64_t>(
-                                probe.version())));
+  root.set("codec_version",
+           util::Json(static_cast<std::uint64_t>(r.version())));
   // Stack of open item lists; sections push a child list.
-  std::vector<util::Json> stack;
+  std::vector<util::Json> stack(1, util::Json::array());
   std::vector<std::string> names;
-  stack.push_back(util::Json::array());
-  while (pos < data.size()) {
-    const Tag tag = static_cast<Tag>(static_cast<std::uint8_t>(data[pos++]));
-    switch (tag) {
+  while (!r.at_end()) {
+    const auto tag = static_cast<std::uint8_t>(r.data_[r.pos_]);
+    util::Json item;
+    switch (static_cast<Tag>(tag)) {
       case Tag::kU8:
-        need(1);
-        stack.back().push_back(util::Json(
-            static_cast<std::uint64_t>(static_cast<std::uint8_t>(data[pos]))));
-        ++pos;
+        item = util::Json(static_cast<std::uint64_t>(r.u8()));
         break;
       case Tag::kU32:
-        stack.back().push_back(
-            util::Json(static_cast<std::uint64_t>(read_u32())));
+        item = util::Json(static_cast<std::uint64_t>(r.u32()));
         break;
       case Tag::kU64:
-        stack.back().push_back(util::Json(read_u64()));
+        item = util::Json(r.u64());
         break;
       case Tag::kI64:
-        stack.back().push_back(
-            util::Json(static_cast<std::int64_t>(read_u64())));
+        item = util::Json(r.i64());
         break;
       case Tag::kF64: {
         // JSON has no NaN or infinity; the codec carries them bit-exactly.
-        const double v = std::bit_cast<double>(read_u64());
-        stack.back().push_back(std::isfinite(v) ? util::Json(v)
-                               : std::isnan(v)  ? util::Json("nan")
-                               : v > 0          ? util::Json("inf")
-                                                : util::Json("-inf"));
+        const double v = r.f64();
+        item = std::isfinite(v) ? util::Json(v)
+               : std::isnan(v)  ? util::Json("nan")
+               : v > 0          ? util::Json("inf")
+                                : util::Json("-inf");
         break;
       }
       case Tag::kBool:
-        need(1);
-        stack.back().push_back(util::Json(data[pos] != '\x00'));
-        ++pos;
+        item = util::Json(r.boolean());
         break;
       case Tag::kString:
-        stack.back().push_back(util::Json(read_text()));
+        item = util::Json(r.str());
         break;
       case Tag::kSectionBegin:
-        names.push_back(read_text());
+        names.emplace_back(r.text(Tag::kSectionBegin));
         stack.push_back(util::Json::array());
-        break;
-      case Tag::kSectionEnd: {
-        if (stack.size() < 2) {
-          throw std::runtime_error(
-              "snapshot: section-end without a matching begin at byte "
-              "offset " +
-              std::to_string(pos - 1));
-        }
-        util::Json section = util::Json::object();
-        section.set("section", util::Json(names.back()));
-        section.set("items", std::move(stack.back()));
+        continue;
+      case Tag::kSectionEnd:
+        if (stack.size() < 2) r.fail("section-end without a matching begin");
+        r.end_section();
+        item = util::Json::object();
+        item.set("section", util::Json(names.back()));
+        item.set("items", std::move(stack.back()));
         names.pop_back();
         stack.pop_back();
-        stack.back().push_back(std::move(section));
         break;
-      }
       default:
-        throw std::runtime_error("snapshot: unknown tag byte " +
-                                 std::to_string(static_cast<int>(tag)) +
-                                 " at byte offset " + std::to_string(pos - 1));
+        r.fail("unknown tag byte " + std::to_string(tag));
     }
+    stack.back().push_back(std::move(item));
   }
   if (stack.size() != 1) {
     throw std::runtime_error("snapshot: unterminated section '" +
