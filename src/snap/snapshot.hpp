@@ -46,7 +46,7 @@ void save(exp::InstanceRun& run, const std::string& path);
 /// escapes.
 std::unique_ptr<exp::InstanceRun> restore(const std::string& data);
 
-/// StateReader::from_file + restore().
+/// read_file() + restore().
 std::unique_ptr<exp::InstanceRun> restore_file(const std::string& path);
 
 /// Builds a *fresh* run from a snapshot's meta section alone: same params,
