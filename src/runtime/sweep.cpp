@@ -1,21 +1,21 @@
 #include "runtime/sweep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "exp/instance.hpp"
 #include "exp/instance_run.hpp"
-#include "exp/scenario_io.hpp"
 #include "runtime/thread_pool.hpp"
 #include "snap/checkpointer.hpp"
 #include "snap/result_io.hpp"
 #include "snap/snapshot.hpp"
-#include "snap/state_hash.hpp"
 #include "util/rng.hpp"
 
 namespace imobif::runtime {
@@ -26,37 +26,6 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index) {
 }
 
 namespace {
-
-/// The unit-file prefix of a sweep: a 64-bit digest, in hex, of every
-/// input that shapes a unit's result besides its instance index, namely
-/// the scenario text and the run options. Sweeps with different inputs
-/// never share files; sweeps with equal inputs do, which is correct
-/// because runs are deterministic.
-std::string unit_prefix(const exp::ScenarioParams& params,
-                        const exp::RunOptions& options) {
-  snap::StateHash h;
-  h.str(exp::to_config_string(params));
-  h.boolean(options.stop_on_first_death);
-  h.f64(options.horizon_factor);
-  h.f64(options.horizon_slack_s.value());
-  h.boolean(options.multi_flow_blending);
-  h.u64(options.extra_flows.size());
-  for (const net::FlowSpec& spec : options.extra_flows) {
-    h.u64(spec.id);
-    h.u64(spec.source);
-    h.u64(spec.destination);
-    h.f64(spec.length_bits.value());
-    h.f64(spec.packet_bits.value());
-    h.f64(spec.rate_bps.value());
-    h.u8(static_cast<std::uint8_t>(spec.strategy));
-    h.boolean(spec.initially_enabled);
-    h.f64(spec.length_estimate_factor);
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h.digest()));
-  return std::string(hex) + "-";
-}
 
 /// Runs one named unit to completion. With checkpointing disabled it runs
 /// `make_fresh()`. Otherwise it short-circuits from <unit>.result, resumes
@@ -99,31 +68,18 @@ exp::RunResult run_unit(
   return result;
 }
 
-exp::ComparisonPoint run_comparison_point(const exp::ScenarioParams& params,
-                                          const exp::RunOptions& options,
-                                          util::Rng rng,
-                                          const CheckpointOptions& checkpoint,
-                                          const std::string& sweep_prefix,
-                                          std::size_t index) {
-  const exp::FlowInstance instance = exp::sample_instance(params, rng);
-  const std::string prefix =
-      sweep_prefix + "cmp-" + std::to_string(index) + "-";
-  const auto run_mode = [&](core::MobilityMode mode, const char* name) {
-    return run_unit(checkpoint, prefix + name, [&] {
-      auto run = exp::InstanceRun::create(instance, params, mode, options);
-      run->set_sampler_rng_state(rng.state());
-      return run;
-    });
-  };
-  exp::ComparisonPoint point;
-  point.flow_bits = instance.flow_bits;
-  point.hops = instance.initial_path.size() - 1;
-  point.baseline = run_mode(core::MobilityMode::kNoMobility, "baseline");
-  point.cost_unaware = run_mode(core::MobilityMode::kCostUnaware,
-                                "cost_unaware");
-  point.informed = run_mode(core::MobilityMode::kInformed, "informed");
-  return point;
-}
+/// The three runs of an instance, in submission order: the mobility runs
+/// take longest, so they start first.
+constexpr std::pair<core::MobilityMode, const char*> kModes[] = {
+    {core::MobilityMode::kInformed, "informed"},
+    {core::MobilityMode::kCostUnaware, "cost_unaware"},
+    {core::MobilityMode::kNoMobility, "baseline"}};
+
+/// A sampled instance and the state of its RNG stream after the draw.
+struct Sampled {
+  exp::FlowInstance instance;
+  std::array<std::uint64_t, 4> rng_state;
+};
 
 }  // namespace
 
@@ -135,26 +91,52 @@ std::vector<exp::ComparisonPoint> run_comparison_parallel(
   std::string sweep_prefix;
   if (checkpoint.enabled()) {
     std::filesystem::create_directories(checkpoint.dir);
-    sweep_prefix = unit_prefix(params, options);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(
+                      snap::config_digest(params, options)));
+    sweep_prefix = std::string(hex) + "-";
   }
 
+  // Declared before the pool, whose destructor lets every queued task
+  // finish, so no task outlives what it reads, also when a draw throws.
+  // Reserved up front: tasks hold references into it.
+  std::vector<Sampled> sampled;
+  sampled.reserve(flow_count);
+  ThreadPool pool(
+      std::min(std::max<std::size_t>(workers, 1), 3 * flow_count));
+  std::vector<std::array<std::future<exp::RunResult>, 3>> futures(flow_count);
   // Instance i's generator is the i-th fork of Rng(params.seed), drawn
-  // here in submission order on this thread.
+  // here in order on this thread; its three runs start as soon as it is.
   util::Rng root(params.seed);
-  ThreadPool pool(std::min(std::max<std::size_t>(workers, 1), flow_count));
-  std::vector<std::future<exp::ComparisonPoint>> futures;
-  futures.reserve(flow_count);
   for (std::size_t i = 0; i < flow_count; ++i) {
-    futures.push_back(
-        pool.submit([&params, &options, rng = root.fork(), &checkpoint,
-                     &sweep_prefix, i] {
-          return run_comparison_point(params, options, rng, checkpoint,
-                                      sweep_prefix, i);
-        }));
+    util::Rng rng = root.fork();
+    exp::FlowInstance instance = exp::sample_instance(params, rng);
+    const Sampled* sample =
+        &sampled.emplace_back(Sampled{std::move(instance), rng.state()});
+    for (std::size_t m = 0; m < 3; ++m) {
+      const core::MobilityMode mode = kModes[m].first;
+      std::string unit = sweep_prefix + "cmp-" + std::to_string(i) + "-" +
+                         kModes[m].second;
+      futures[i][m] = pool.submit([&params, &options, &checkpoint, sample,
+                                   mode, unit = std::move(unit)] {
+        return run_unit(checkpoint, unit, [&] {
+          auto run =
+              exp::InstanceRun::create(sample->instance, params, mode, options);
+          run->set_sampler_rng_state(sample->rng_state);
+          return run;
+        });
+      });
+    }
   }
-  std::vector<exp::ComparisonPoint> points;
-  points.reserve(flow_count);
-  for (auto& future : futures) points.push_back(future.get());
+  std::vector<exp::ComparisonPoint> points(flow_count);
+  for (std::size_t i = 0; i < flow_count; ++i) {
+    points[i].flow_bits = sampled[i].instance.flow_bits;
+    points[i].hops = sampled[i].instance.initial_path.size() - 1;
+    points[i].baseline = futures[i][2].get();
+    points[i].cost_unaware = futures[i][1].get();
+    points[i].informed = futures[i][0].get();
+  }
   return points;
 }
 

@@ -3,11 +3,14 @@
 // Figs. 5-8) across a ThreadPool, with results bit-identical for any
 // worker count or completion order.
 //
-// Instance i is sampled from the i-th fork() of Rng(params.seed), drawn in
-// order on the calling thread before dispatch, and points are collected
-// back in submission order. `InstanceRun` builds a fully self-contained
-// Network per call and the exp:: entry points share no mutable globals,
-// so no simulator-core changes are needed for parallelism.
+// The calling thread samples instance i from the i-th fork() of
+// Rng(params.seed), in order, and right after each draw submits one pool
+// task per mode, so a pool never waits on one thread replaying an
+// instance's three runs back to back. Points are put back together in
+// index order from their three futures. `InstanceRun` builds a fully
+// self-contained Network per call and the exp:: entry points share no
+// mutable globals, so no simulator-core changes are needed for
+// parallelism.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +30,13 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 
 /// Runs `flow_count` instances of the scenario, each under no mobility,
 /// cost-unaware mobility and iMobif; deterministic in (params.seed,
-/// flow_count) for any `workers`. Runs on min(max(workers, 1), flow_count)
-/// pool threads. With checkpointing enabled, instance i's three mode runs
-/// persist as units "<digest>-cmp-<i>-baseline" / "-cost_unaware" /
-/// "-informed", where <digest> is 16 hex digits of a digest of `params`'
-/// config text and `options` (see runtime/checkpoint.hpp).
+/// flow_count) for any `workers`. Runs on min(max(workers, 1),
+/// 3 * flow_count) pool threads. A sampler error (no routable pair) is
+/// rethrown once the runs already queued have finished. With checkpointing
+/// enabled, instance i's three mode runs persist as units
+/// "<digest>-cmp-<i>-baseline" / "-cost_unaware" / "-informed", where
+/// <digest> is 16 hex digits of snap::config_digest(params, options) (see
+/// runtime/checkpoint.hpp).
 std::vector<exp::ComparisonPoint> run_comparison_parallel(
     const exp::ScenarioParams& params, std::size_t flow_count,
     const exp::RunOptions& options = {}, std::size_t workers = 1,

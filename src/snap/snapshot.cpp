@@ -525,6 +525,14 @@ std::uint64_t state_hash(exp::InstanceRun& run) {
   return hash.digest();
 }
 
+std::uint64_t config_digest(const exp::ScenarioParams& params,
+                            const exp::RunOptions& options) {
+  StateHash hash;
+  hash.str(exp::to_config_string(params));
+  hash.record(options);
+  return hash.digest();
+}
+
 std::string debug_json(exp::InstanceRun& run) {
   return debug_dump(encode(run));
 }

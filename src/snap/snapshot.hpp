@@ -61,6 +61,13 @@ std::unique_ptr<exp::InstanceRun> restore_fresh(const std::string& data);
 /// Equal hashes after equal event counts mean the runs have not diverged.
 std::uint64_t state_hash(exp::InstanceRun& run);
 
+/// 64-bit digest of a sweep's inputs: the scenario's config text, then
+/// `options` through the same field list the "meta" section writes. Sweeps
+/// that differ in any scenario key or run option get different digests;
+/// it names checkpointed sweep units (runtime/sweep.hpp).
+std::uint64_t config_digest(const exp::ScenarioParams& params,
+                            const exp::RunOptions& options);
+
 /// Human-readable JSON rendering of encode() (codec debug-dump mode).
 std::string debug_json(exp::InstanceRun& run);
 

@@ -17,8 +17,8 @@
 // This is a divergence detector for replay bisection, not a cryptographic
 // commitment; 64 bits is ample for comparing two runs event-by-event. The
 // only stored digests are the checkpoint unit-file prefixes of
-// runtime/sweep.cpp; a build whose digest differs just recomputes those
-// units instead of resuming them.
+// runtime/sweep.cpp (config_digest in snapshot.hpp); a build whose digest
+// differs just recomputes those units instead of resuming them.
 #pragma once
 
 #include <cstdint>

@@ -36,6 +36,9 @@ const std::vector<FigureBench>& figure_benches() {
   static const std::vector<FigureBench> kBenches = {
       {"fig5_placement", IMOBIF_FIG5_BIN, "BENCH_fig5_i4.json"},
       {"fig6_energy", IMOBIF_FIG6_BIN, "BENCH_fig6_i4.json"},
+      // Three workers split an instance's mode runs across threads.
+      {"fig6_energy_jobs3", IMOBIF_FIG6_BIN, "BENCH_fig6_i4.json",
+       " --jobs 3"},
       {"fig7_notifications", IMOBIF_FIG7_BIN, "BENCH_fig7_i4.json"},
       {"fig8_lifetime", IMOBIF_FIG8_BIN, "BENCH_fig8_i4.json"},
       {"mobility_sweep", IMOBIF_MOBILITY_BIN, "BENCH_mobility.json",

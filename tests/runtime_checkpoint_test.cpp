@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/instance.hpp"
@@ -72,8 +74,10 @@ TEST(RuntimeCheckpoint, CheckpointedSweepMatchesPlainSweep) {
   const std::vector<exp::ComparisonPoint> checked =
       run_comparison_parallel(params, kInstances, {}, 2, checkpoint);
 
+  // Unit names are how a resume finds its files: a build that names them
+  // differently recomputes every unit of an earlier sweep.
   const std::string prefix = unit_prefix_in(dir);
-  ASSERT_EQ(prefix.size(), 17u);
+  ASSERT_EQ(prefix, "9d8481e4a676c9b8-");
   ASSERT_EQ(plain.size(), checked.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(json(plain[i].baseline), json(checked[i].baseline));
@@ -196,6 +200,107 @@ TEST(RuntimeCheckpoint, DigestSeparatesSweepsSharingADirectory) {
   checkpoint.resume = false;
   (void)run_comparison_parallel(first, 1, lifetime, 1, checkpoint);
   EXPECT_NE(unit_prefix_in(dir), first_prefix);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RuntimeCheckpoint, ConfigDigestCoversEveryRunOptionField) {
+  // Each field of RunOptions and of an extra FlowSpec shapes a unit's
+  // result, so changing any one of them must rename the sweep's units.
+  const exp::ScenarioParams params = sweep_params(71);
+  exp::RunOptions base;
+  net::FlowSpec spec;
+  spec.id = 2;
+  spec.source = 3;
+  spec.destination = 4;
+  spec.length_bits = util::Bits{8192.0 * 4.0};
+  base.extra_flows.push_back(spec);
+  const std::uint64_t digest = snap::config_digest(params, base);
+
+  using Edit = std::function<void(exp::RunOptions&)>;
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"stop_on_first_death",
+       [](exp::RunOptions& o) { o.stop_on_first_death = true; }},
+      {"horizon_factor", [](exp::RunOptions& o) { o.horizon_factor = 5.0; }},
+      {"horizon_slack_s",
+       [](exp::RunOptions& o) { o.horizon_slack_s = util::Seconds{60.0}; }},
+      {"multi_flow_blending",
+       [](exp::RunOptions& o) { o.multi_flow_blending = true; }},
+      {"extra_flows", [](exp::RunOptions& o) { o.extra_flows.clear(); }},
+      {"id", [](exp::RunOptions& o) { o.extra_flows[0].id = 5; }},
+      {"source", [](exp::RunOptions& o) { o.extra_flows[0].source = 5; }},
+      {"destination",
+       [](exp::RunOptions& o) { o.extra_flows[0].destination = 5; }},
+      {"length_bits",
+       [](exp::RunOptions& o) { o.extra_flows[0].length_bits *= 2.0; }},
+      {"packet_bits",
+       [](exp::RunOptions& o) { o.extra_flows[0].packet_bits *= 2.0; }},
+      {"rate_bps",
+       [](exp::RunOptions& o) { o.extra_flows[0].rate_bps *= 2.0; }},
+      {"strategy",
+       [](exp::RunOptions& o) {
+         o.extra_flows[0].strategy = net::StrategyId::kMaxLifetime;
+       }},
+      {"initially_enabled",
+       [](exp::RunOptions& o) { o.extra_flows[0].initially_enabled = true; }},
+      {"length_estimate_factor",
+       [](exp::RunOptions& o) {
+         o.extra_flows[0].length_estimate_factor = 0.5;
+       }},
+  };
+  for (const auto& [field, edit] : edits) {
+    exp::RunOptions changed = base;
+    edit(changed);
+    EXPECT_NE(snap::config_digest(params, changed), digest) << field;
+  }
+  EXPECT_NE(snap::config_digest(sweep_params(72), base), digest);
+  EXPECT_EQ(snap::config_digest(sweep_params(71), base), digest);
+}
+
+TEST(RuntimeCheckpoint, ResumeFromMixedUnitFilesEqualsAFreshSweep) {
+  // A killed sweep leaves each instance with any subset of its three
+  // units finished, since every unit is its own pool task. Resuming must
+  // reuse exactly those and run the rest.
+  const exp::ScenarioParams params = sweep_params(81);
+  const std::vector<exp::ComparisonPoint> fresh =
+      run_comparison_parallel(params, 2);
+
+  const auto dir = scratch_dir("rt_ckpt_mixed");
+  CheckpointOptions checkpoint;
+  checkpoint.dir = dir.string();
+  (void)run_comparison_parallel(params, 2, {}, 1, checkpoint);
+  const std::string prefix = unit_prefix_in(dir);
+  // Instance 0 keeps only its informed unit; instance 1 keeps only its
+  // baseline and cost_unaware units.
+  for (const char* unit :
+       {"cmp-0-baseline", "cmp-0-cost_unaware", "cmp-1-informed"}) {
+    ASSERT_TRUE(std::filesystem::remove(dir / (prefix + unit + ".result")))
+        << unit;
+  }
+
+  checkpoint.resume = true;
+  const std::vector<exp::ComparisonPoint> resumed =
+      run_comparison_parallel(params, 2, {}, 4, checkpoint);
+  ASSERT_EQ(resumed.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(resumed[i].flow_bits, fresh[i].flow_bits);
+    EXPECT_EQ(resumed[i].hops, fresh[i].hops);
+    EXPECT_EQ(json(resumed[i].baseline), json(fresh[i].baseline));
+    EXPECT_EQ(json(resumed[i].cost_unaware), json(fresh[i].cost_unaware));
+    EXPECT_EQ(json(resumed[i].informed), json(fresh[i].informed));
+  }
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".result") << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 6u);  // one .result per unit
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (const char* mode : kModeUnits) {
+      EXPECT_TRUE(std::filesystem::exists(
+          dir / (prefix + "cmp-" + std::to_string(i) + "-" + mode +
+                 ".result")));
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -3,6 +3,8 @@
 // under each mode.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/instance.hpp"
@@ -33,6 +35,16 @@ exp::ScenarioParams lossy_params() {
   p.fault.loss_rate = 0.2;
   p.fault.seed = 777;
   p.notify_retry_cap = 5;
+  return p;
+}
+
+/// Random-waypoint motion and on-off traffic, as in the mobility grid: the
+/// mobility modes' runs take several times longer than the baseline's.
+exp::ScenarioParams mobile_params() {
+  exp::ScenarioParams p = small_params();
+  p.seed = 7;
+  p.mob.model = mob::ModelId::kRandomWaypoint;
+  p.traffic.model = traffic::ModelId::kOnOff;
   return p;
 }
 
@@ -109,6 +121,73 @@ TEST(RunComparisonParallel, MatchesSequentialRunComparison) {
         exp::run_instance(instance, p, core::MobilityMode::kInformed),
         parallel[i].informed);
   }
+}
+
+TEST(RunComparisonParallel, ModesSplitAcrossWorkersMatchOneWorker) {
+  // Each mode of an instance is its own pool task. Two and five workers
+  // split an instance's three runs across threads, and 3n + 1 gives every
+  // run a thread of its own with one to spare.
+  const exp::ScenarioParams p = mobile_params();
+  const std::size_t kInstances = 4;
+  const auto one = run_comparison_parallel(p, kInstances, {}, 1);
+  ASSERT_EQ(one.size(), kInstances);
+
+  util::Rng root(p.seed);
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    util::Rng rng = root.fork();
+    const exp::FlowInstance instance = exp::sample_instance(p, rng);
+    EXPECT_EQ(instance.flow_bits, one[i].flow_bits);
+    EXPECT_EQ(instance.initial_path.size() - 1, one[i].hops);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kNoMobility),
+        one[i].baseline);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kCostUnaware),
+        one[i].cost_unaware);
+    expect_same_run(
+        exp::run_instance(instance, p, core::MobilityMode::kInformed),
+        one[i].informed);
+  }
+
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{5},
+                                    3 * kInstances + 1}) {
+    SCOPED_TRACE(workers);
+    const auto split = run_comparison_parallel(p, kInstances, {}, workers);
+    ASSERT_EQ(split.size(), kInstances);
+    for (std::size_t i = 0; i < kInstances; ++i) {
+      EXPECT_EQ(one[i].flow_bits, split[i].flow_bits);
+      EXPECT_EQ(one[i].hops, split[i].hops);
+      expect_same_run(one[i].baseline, split[i].baseline);
+      expect_same_run(one[i].cost_unaware, split[i].cost_unaware);
+      expect_same_run(one[i].informed, split[i].informed);
+    }
+  }
+}
+
+TEST(RunComparisonParallel, SamplingFailureThrowsAtAnyWorkerCount) {
+  // Six nodes on 1500 m rarely route two hops: under seed 11 instances 0-3
+  // sample and instance 4 finds no pair. The throw comes while the first
+  // four instances' runs are queued or running; the sweep must wait for
+  // them and rethrow the sampler's error, whatever the worker count.
+  exp::ScenarioParams p;
+  p.node_count = 6;
+  p.area_m = util::Meters{1500.0};
+  p.min_hops = 2;
+  p.seed = 11;
+  std::vector<std::string> errors;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    try {
+      (void)run_comparison_parallel(p, 8, {}, workers);
+      ADD_FAILURE() << "no throw at " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      errors.emplace_back(e.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_NE(errors[0].find("no routable"), std::string::npos) << errors[0];
+  // The instances before the failing one do sample.
+  EXPECT_EQ(run_comparison_parallel(p, 4, {}, 4).size(), 4u);
 }
 
 TEST(RunComparisonParallel, LossyJobCountsProduceIdenticalPoints) {
