@@ -52,14 +52,14 @@ BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(256)->Arg(4096);
 
 /// The queue as beaconing loads it: N pending HELLO ticks spread over one
 /// 10 s interval (beacon_scale holds ~1e5). Each popped tick re-arms
-/// itself 10 s later and schedules ten kDeliver records 5 ms later, the
-/// medium's fan-out at the paper's density, so about nine in ten popped
-/// events are deliveries. Items are events.
+/// itself 10 s later and fans out to ten receivers 5 ms later, as
+/// Medium::broadcast does at the paper's density, so about nine in ten
+/// popped events are deliveries. Items are events.
 void BM_EventQueueBeaconMix(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const sim::Time period = sim::Time::from_seconds(10.0);
   const sim::Time prop_delay = sim::Time::from_seconds(0.005);
-  constexpr std::uint64_t kFanout = 10;
+  const std::vector<std::uint32_t> receivers{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   sim::EventQueue q;
   util::Rng rng(3);
   for (std::size_t i = 0; i < n; ++i) {
@@ -72,9 +72,7 @@ void BM_EventQueueBeaconMix(benchmark::State& state) {
     const sim::Event ev = q.pop();
     if (ev.tag.kind == sim::EventTag::Kind::kHelloTick) {
       q.schedule(ev.when + period, ev.tag);
-      for (std::uint64_t k = 0; k < kFanout; ++k) {
-        q.schedule(ev.when + prop_delay, sim::EventTag::deliver(k, 0));
-      }
+      q.fanout(ev.when + prop_delay, 0, receivers);
     }
     benchmark::DoNotOptimize(ev.tag.a);
   }

@@ -44,16 +44,17 @@ geom::Vec2 Medium::true_position(NodeId id) const {
   return node->position();
 }
 
-PacketSlab::Slot PacketSlab::put(const Packet& pkt) {
+PacketSlab::Slot PacketSlab::put(const Packet& pkt, std::uint32_t refs) {
+  IMOBIF_ASSERT(refs > 0, "stored a packet nothing reads");
   if (free_.empty()) {
     packets_.push_back(pkt);
-    refs_.push_back(1);
+    refs_.push_back(refs);
     return static_cast<Slot>(packets_.size() - 1);
   }
   const Slot slot = free_.back();
   free_.pop_back();
   packets_[slot] = pkt;
-  refs_[slot] = 1;
+  refs_[slot] = refs;
   return slot;
 }
 
@@ -64,8 +65,7 @@ void PacketSlab::release(Slot slot) {
 
 void Medium::deliver_later(NodeId receiver, PacketSlab::Slot slot) {
   ++counters_.delivered;
-  sim_.at(sim_.now() + config_.prop_delay,
-          sim::EventTag::deliver(receiver, slot));
+  sim_.fanout(sim_.now() + config_.prop_delay, slot, {&receiver, 1});
 }
 
 void Medium::deliver(NodeId receiver, PacketSlab::Slot slot) {
@@ -78,8 +78,7 @@ void Medium::deliver(NodeId receiver, PacketSlab::Slot slot) {
 void Medium::broadcast(const Node& sender, const Packet& pkt) {
   ++counters_.broadcasts;
   const geom::Vec2 origin = sender.position();
-  // Stored on the first receiver; every further receiver shares the copy.
-  PacketSlab::Slot slot = sim::EventTag::kNoPacket;
+  receivers_.clear();
   index_.for_each_in_range(
       origin, config_.comm_range_m, [&](NodeId id, geom::Vec2) {
         if (id == sender.id()) return;
@@ -93,13 +92,13 @@ void Medium::broadcast(const Node& sender, const Packet& pkt) {
           ++counters_.dropped_injected;
           return;
         }
-        if (slot == sim::EventTag::kNoPacket) {
-          slot = packets_.put(pkt);
-        } else {
-          packets_.retain(slot);
-        }
-        deliver_later(id, slot);
+        receivers_.push_back(id);
       });
+  if (receivers_.empty()) return;
+  const auto count = static_cast<std::uint32_t>(receivers_.size());
+  counters_.delivered += count;
+  sim_.fanout(sim_.now() + config_.prop_delay, packets_.put(pkt, count),
+              receivers_);
 }
 
 bool Medium::unicast(const Node& sender, NodeId dest, const Packet& pkt) {

@@ -10,8 +10,11 @@
 // The medium also doubles as the experiment's ground-truth position oracle
 // (`true_position`), standing in for GPS (paper Assumption 2).
 //
-// Each transmission's packet is stored once, in the medium's PacketSlab;
-// every kDeliver event of that transmission names the same slab slot.
+// Each transmission's packet is stored once, in the medium's PacketSlab.
+// A broadcast collects the receivers that pass the alive, faulted and
+// loss checks, in grid visit order, and schedules them as one fan-out
+// entry (Simulator::fanout): the simulator then pops one kDeliver per
+// receiver, each naming the same slab slot. A unicast is a fan of one.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +46,16 @@ struct MediumConfig {
 };
 
 /// In-flight packets, one per transmission, reference-counted by the
-/// delivery events that still have to run. A std::deque keeps stored
-/// packets at stable addresses while a receiver's handler transmits, and
-/// so stores, more packets.
+/// delivery events that still have to run: a broadcast stores its packet
+/// with one reference per receiver. A std::deque keeps stored packets at
+/// stable addresses while a receiver's handler transmits, and so stores,
+/// more packets.
 class PacketSlab {
  public:
   using Slot = std::uint32_t;
 
-  /// Stores `pkt` with one reference.
-  Slot put(const Packet& pkt);
-  /// Adds a reference to a stored packet.
-  void retain(Slot slot) { ++refs_[slot]; }
+  /// Stores `pkt` with `refs` references (one per delivery that reads it).
+  Slot put(const Packet& pkt, std::uint32_t refs = 1);
   /// Drops a reference; the slot is freed with the last one.
   void release(Slot slot);
   const Packet& get(Slot slot) const { return packets_[slot]; }
@@ -146,8 +148,8 @@ class Medium {
 
  private:
   /// Counts a delivery to `receiver` and schedules it one propagation
-  /// delay from now; the caller has already taken the event's reference
-  /// to `slot`.
+  /// delay from now, as a fan of one; the caller has already taken the
+  /// event's reference to `slot`.
   void deliver_later(NodeId receiver, PacketSlab::Slot slot);
 
   sim::Simulator& sim_;
@@ -160,6 +162,8 @@ class Medium {
   Counters counters_;
   // snap:derived(PacketSlab::put)
   PacketSlab packets_;
+  // snap:transient(broadcast's scratch list of receivers, empty between calls)
+  std::vector<NodeId> receivers_;
   // snap:derived(restore_fault_injector)
   std::unique_ptr<FaultInjector> injector_;
 };

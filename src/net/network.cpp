@@ -231,6 +231,11 @@ void Network::restore_event(sim::Time when, const sim::EventTag& tag) {
         std::to_string(static_cast<int>(tag.kind)) + " (a=" +
         std::to_string(tag.a) + ")");
   }
+  if (tag.kind == Kind::kDeliver) {
+    const auto receiver = static_cast<NodeId>(tag.a);
+    sim_.fanout(when, tag.packet, {&receiver, 1});
+    return;
+  }
   const sim::EventId id = sim_.at(when, tag);
   if (node_event) nodes_[tag.a]->adopt_event(tag, id);
 }

@@ -171,9 +171,9 @@ class Network : public NetworkEvents, public sim::EventSink {
   /// Re-inserts a decoded pending event at its absolute time, in snapshot
   /// order, and hands its cancellation handle to the node that owns it.
   /// A kDeliver tag must name a packet already stored in
-  /// medium().packets(). Throws std::runtime_error for an event this
-  /// network cannot execute (unknown node, flow or kind, or a kMobTick
-  /// without a motion sink).
+  /// medium().packets(); it is re-inserted as a fan of one. Throws
+  /// std::runtime_error for an event this network cannot execute (unknown
+  /// node, flow or kind, or a kMobTick without a motion sink).
   void restore_event(sim::Time when, const sim::EventTag& tag);
   void restore_last_progress(sim::Time t) { last_progress_ = t; }
   void restore_first_death(std::optional<sim::Time> t) {

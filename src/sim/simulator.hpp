@@ -6,6 +6,9 @@
 // flag and run()'s event cap guard against runaway protocols.
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "sim/event_queue.hpp"
 #include "sim/event_tag.hpp"
 #include "sim/time.hpp"
@@ -27,6 +30,12 @@ class Simulator {
   EventId after(Time delay, const EventTag& tag) {
     return at(now_ + delay, tag);
   }
+
+  /// Schedules one kDeliver of `packet` to each of `receivers` at absolute
+  /// time `when`, as one queue entry (EventQueue::fanout); must not be in
+  /// the past. Fan deliveries cannot be cancelled.
+  void fanout(Time when, std::uint32_t packet,
+              std::span<const std::uint32_t> receivers);
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 

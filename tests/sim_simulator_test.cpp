@@ -181,5 +181,62 @@ TEST(Simulator, StepWithoutSinkThrows) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
+TEST(Simulator, StepWithoutSinkThrowsOnlyWhenAnEventIsDue) {
+  Simulator sim;
+  EXPECT_FALSE(sim.step());  // nothing pending
+  sim.at(Time::from_seconds(2.0), EventTag::mob_tick());
+  EXPECT_FALSE(sim.step(Time::from_seconds(1.0)));  // not yet due
+  EXPECT_THROW(sim.step(Time::from_seconds(2.0)), std::logic_error);
+  // The due event was not consumed by the failed step.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(Simulator, StepRunsAnEventExactlyAtUntil) {
+  Simulator sim;
+  CallbackSink cb(sim);
+  int ran = 0;
+  const Time until = Time::from_ticks(500);
+  cb.at(until, [&] { ++ran; });
+  cb.at(Time::from_ticks(501), [&] { ++ran; });
+  EXPECT_TRUE(sim.step(until));
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sim.now(), until);
+  EXPECT_FALSE(sim.step(until));  // one tick past
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, FanoutDeliversEachReceiverInOrder) {
+  struct Recorder final : EventSink {
+    std::vector<Event> got;
+    void dispatch(const Event& ev) override { got.push_back(ev); }
+  };
+  Simulator sim;
+  Recorder recorder;
+  sim.set_sink(&recorder);
+  sim.at(Time::from_seconds(1.0), EventTag::hello_tick(0));
+  sim.fanout(Time::from_seconds(1.0), 9,
+             std::vector<std::uint32_t>{4, 2, 6});
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(sim.executed_events(), 4u);
+  ASSERT_EQ(recorder.got.size(), 4u);
+  EXPECT_EQ(recorder.got[0].tag.kind, EventTag::Kind::kHelloTick);
+  const std::vector<std::uint64_t> want{4, 2, 6};
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const Event& ev = recorder.got[k + 1];
+    EXPECT_EQ(ev.tag.kind, EventTag::Kind::kDeliver);
+    EXPECT_EQ(ev.tag.a, want[k]);
+    EXPECT_EQ(ev.tag.packet, 9u);
+    EXPECT_EQ(ev.seq, k + 1);
+  }
+  // Like at(), fanout() refuses the past.
+  EXPECT_THROW(sim.fanout(Time::from_seconds(0.5), 9,
+                          std::vector<std::uint32_t>{1}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace imobif::sim

@@ -233,6 +233,91 @@ TEST(SnapCheckpoint, PendingDeliveriesReencodeIdentically) {
   }
 }
 
+TEST(SnapCheckpoint, SnapshotAtEveryFanCursorRestoresExactly) {
+  // A broadcast with at least eight receivers is one fan-out entry in the
+  // event queue, which hands its deliveries out one pop at a time. A
+  // snapshot right after the broadcast and one after each of its pops
+  // covers every cursor position: each must re-encode to the same bytes
+  // after restore, and the restored copy must stay byte-identical to the
+  // original for 40 events.
+  const exp::ScenarioParams params = base_params();
+  util::Rng rng(params.seed);
+  const exp::FlowInstance instance = exp::sample_instance(params, rng);
+  constexpr std::size_t kLead = 1000;  // events before looking for a fan
+  // Replays the first kLead events and then `steps` single-event steps.
+  const auto replay = [&](std::size_t steps) {
+    auto run = exp::InstanceRun::create(instance, params,
+                                        core::MobilityMode::kInformed, {});
+    EXPECT_FALSE(run->advance(kLead));
+    for (std::size_t i = 0; i < steps; ++i) EXPECT_FALSE(run->advance(1));
+    return run;
+  };
+  // The broadcast's pending deliveries: one time, one packet slot.
+  struct FanKey {
+    sim::Time when;
+    std::uint32_t packet = 0;
+  };
+  const auto fan_left = [](exp::InstanceRun& r, const FanKey& fan) {
+    std::size_t n = 0;
+    for (const sim::Event& ev : r.network().simulator().pending()) {
+      n += ev.tag.kind == sim::EventTag::Kind::kDeliver &&
+           ev.when == fan.when && ev.tag.packet == fan.packet;
+    }
+    return n;
+  };
+
+  // Probe: find the broadcast, then count the steps to each of its pops.
+  auto probe = replay(0);
+  const net::Medium& medium = probe->network().medium();
+  FanKey fan;
+  std::size_t receivers = 0;
+  std::size_t steps = 0;
+  while (receivers == 0) {
+    const net::Medium::Counters before = medium.counters();
+    ASSERT_FALSE(probe->advance(1));
+    ++steps;
+    const net::Medium::Counters& after = medium.counters();
+    if (after.broadcasts != before.broadcasts + 1 ||
+        after.delivered < before.delivered + 8) {
+      continue;
+    }
+    // Its last receiver is the newest pending delivery.
+    std::uint64_t newest_seq = 0;
+    for (const sim::Event& ev : probe->network().simulator().pending()) {
+      if (ev.tag.kind == sim::EventTag::Kind::kDeliver &&
+          ev.seq >= newest_seq) {
+        newest_seq = ev.seq;
+        fan = FanKey{ev.when, ev.tag.packet};
+      }
+    }
+    receivers = fan_left(*probe, fan);
+    ASSERT_EQ(receivers, after.delivered - before.delivered);
+  }
+  std::vector<std::size_t> cursors{steps};
+  while (fan_left(*probe, fan) > 0) {
+    const std::size_t left = fan_left(*probe, fan);
+    ASSERT_FALSE(probe->advance(1));
+    ++steps;
+    if (fan_left(*probe, fan) < left) cursors.push_back(steps);
+  }
+  ASSERT_EQ(cursors.size(), receivers + 1);
+
+  for (std::size_t k = 0; k < cursors.size(); ++k) {
+    SCOPED_TRACE("after " + std::to_string(k) + " of " +
+                 std::to_string(receivers) + " deliveries");
+    auto original = replay(cursors[k]);
+    ASSERT_EQ(fan_left(*original, fan), receivers - k);
+    const std::string bytes = encode(*original);
+    auto restored = restore(bytes);
+    EXPECT_EQ(encode(*restored), bytes);
+    for (int step = 0; step < 40; ++step) {
+      ASSERT_FALSE(original->advance(1));
+      ASSERT_FALSE(restored->advance(1));
+      ASSERT_EQ(encode(*restored), encode(*original)) << "step " << step;
+    }
+  }
+}
+
 TEST(SnapCheckpoint, DebugJsonNamesEverySection) {
   const exp::ScenarioParams params = base_params();
   util::Rng rng(params.seed);
