@@ -3,6 +3,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -14,7 +15,6 @@
 #include "runtime/report.hpp"
 #include "runtime/sweep.hpp"
 #include "util/args.hpp"
-#include "util/ascii_plot.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -112,6 +112,13 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
   config.checkpoint.resume = args.get_bool("resume", false);
   config.checkpoint.every_sim_s =
       args.get_double("checkpoint-every-s", config.checkpoint.every_sim_s);
+  // A negative or NaN cadence would run the sweep with no checkpoints.
+  const double every = config.checkpoint.every_sim_s;
+  if (!std::isfinite(every) || every < 0.0) {
+    throw std::invalid_argument(
+        "Args: --checkpoint-every-s expects a finite number of seconds >= 0, "
+        "got " + args.get_string("checkpoint-every-s"));
+  }
   return config;
 }
 
@@ -184,17 +191,6 @@ struct FaultCounters {
   }
 };
 
-/// Adds the drop/retry counters to the artifact. Counters are exported
-/// unconditionally (a --loss 0 run simply reports zero drops), so the
-/// "counters" block is part of every report's layout.
-inline void export_fault_counters(
-    runtime::SweepReport& report,
-    const std::vector<exp::ComparisonPoint>& points) {
-  FaultCounters totals;
-  totals.add(points);
-  totals.export_to(report);
-}
-
 /// runtime::run_comparison_parallel under the bench's --jobs and
 /// checkpoint flags: bit-identical results for any --jobs value, and
 /// crash-resumable when --checkpoint-dir is set (unit files are keyed by
@@ -264,32 +260,6 @@ inline void print_header(const std::string& title) {
   std::cout << "\n" << std::string(74, '=') << "\n"
             << title << "\n"
             << std::string(74, '=') << "\n";
-}
-
-/// Renders Fig-6-style per-instance ratio scatter: x = instance index,
-/// y = ratio, with the ratio-1 reference line.
-inline void print_ratio_scatter(const std::vector<double>& cost_unaware,
-                                const std::vector<double>& informed,
-                                const std::string& title) {
-  util::Series cu, in;
-  cu.name = "cost-unaware";
-  cu.marker = 'o';
-  in.name = "imobif";
-  in.marker = '*';
-  for (std::size_t i = 0; i < cost_unaware.size(); ++i) {
-    cu.xs.push_back(static_cast<double>(i));
-    cu.ys.push_back(cost_unaware[i]);
-  }
-  for (std::size_t i = 0; i < informed.size(); ++i) {
-    in.xs.push_back(static_cast<double>(i));
-    in.ys.push_back(informed[i]);
-  }
-  util::PlotOptions opts;
-  opts.title = title;
-  opts.x_label = "flow instance";
-  opts.y_label = "ratio vs no-mobility";
-  opts.h_line = 1.0;
-  std::cout << util::render_scatter({cu, in}, opts);
 }
 
 }  // namespace imobif::bench

@@ -1,29 +1,36 @@
 // imobif_sim: the scenario-driven experiment CLI.
 //
 // Runs a scenario under all three approaches (no mobility, cost-unaware,
-// iMobif) and prints one summary row per value of an optional sweep axis.
-// The scenario starts from the paper defaults with 1 MB mean flows, then
-// takes `key = value` lines from --config FILE and any scenario key given
-// as a flag (flags win). Two more keys come from that same merged config:
+// iMobif) and prints one summary row per sweep variant. The scenario
+// starts from the paper defaults with 1 MB mean flows, then takes
+// `key = value` lines from --config FILE and any scenario key given as a
+// flag (flags win). Two more keys come from that same merged config:
 //
 //   sweep = <key>=<v1>,<v2>,...   one N-instance sweep per value, in order
+//   sweep = <label> [k=v ...] | <label> [k=v ...] | ...
+//                                 one sweep per labelled variant, each
+//                                 setting its keys over the scenario
 //   lifetime = true               stop at the first death and report
 //                                 lifetime ratios instead of energy ratios
 //
-// Every one-axis ablation is a committed conf under examples/scenarios/:
+// Figures 6-8 and every one-axis ablation are committed confs under
+// examples/scenarios/:
 //
-//   $ ./imobif_sim --config examples/scenarios/ablation_damping.conf
-//   $ ./imobif_sim --config fig8.conf --instances 100 --jobs 4 --json out.json
+//   $ ./imobif_sim --config examples/scenarios/fig6_energy.conf --instances 40
+//   $ ./imobif_sim --config fig8_lifetime.conf --jobs 4 --json out.json
 //   $ ./imobif_sim --k 0.1 --sweep recruit_margin=0,1.5 --csv out.csv
-//   $ ./imobif_sim --config examples/scenarios/fig8.conf --print-config
+//   $ ./imobif_sim --config fig8_lifetime.conf --print-config
 #include <algorithm>
 #include <charconv>
 #include <filesystem>
 #include <iostream>
+#include <set>
+#include <sstream>
 #include <string_view>
 
 #include "bench_common.hpp"
 #include "exp/scenario_io.hpp"
+#include "util/ascii_plot.hpp"
 #include "util/config.hpp"
 
 namespace {
@@ -34,7 +41,8 @@ constexpr const char* kUsage =
     "  --config FILE    scenario `key = value` file (see\n"
     "                   examples/scenarios/); any scenario key also works\n"
     "                   as a flag, e.g. --k 0.1 --strategy max-lifetime\n"
-    "  --sweep K=V1,V2  run the scenario once per value of key K\n"
+    "  --sweep K=V1,V2  run the scenario once per value of key K, or\n"
+    "                   once per variant of 'LABEL K=V ... | LABEL ...'\n"
     "  --lifetime       lifetime experiment (stop at first death)\n"
     "  --csv FILE       also write per-instance rows as CSV\n"
     "  --print-config   dump the effective scenario and exit\n";
@@ -66,44 +74,103 @@ std::string axis_label(const std::string& value) {
 }
 
 struct Variant {
-  std::string label;  // empty when there is no sweep axis
+  std::string label;        // empty when there is no sweep
+  util::Config overrides;   // scenario keys set over the base scenario
   exp::ScenarioParams params;
 };
 
 struct Sweep {
-  std::string key;  // empty when there is no sweep axis
+  std::string axis;  // summary table's first column header
   std::vector<Variant> variants;
 };
 
-// Expands `sweep = key=v1,v2,...` over `base`; no sweep is one variant.
-Sweep expand_sweep(const std::string& text, const exp::ScenarioParams& base) {
-  if (text.empty()) return {"", {{"", base}}};
-  const auto eq = text.find('=');
-  Sweep sweep{trim(text.substr(0, std::min(eq, text.size()))), {}};
-  if (eq == std::string::npos || sweep.key.empty()) {
-    throw std::invalid_argument("sweep: expected <key>=<v1>,<v2>,..., got " +
-                                text);
-  }
-  std::size_t start = eq + 1;
+// Splits `text` at `sep` into trimmed items; an empty item is an error.
+std::vector<std::string> split_items(const std::string& text, char sep) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
   while (start <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', start), text.size());
-    const std::string value = trim(text.substr(start, comma - start));
-    start = comma + 1;
-    if (value.empty()) {
-      throw std::invalid_argument("sweep: empty value in " + text);
+    const std::size_t end = std::min(text.find(sep, start), text.size());
+    items.push_back(trim(text.substr(start, end - start)));
+    start = end + 1;
+    if (items.back().empty()) {
+      throw std::invalid_argument("sweep: empty variant in " + text);
     }
-    Variant variant{axis_label(value), base};
-    for (const Variant& seen : sweep.variants) {
-      if (seen.label == variant.label) {
-        throw std::invalid_argument("sweep: duplicate value " + value);
+  }
+  return items;
+}
+
+// Parses `sweep = key=v1,v2,...` (one variant per value, labelled by it)
+// or `sweep = <label> k=v ... | <label> k=v ...` into one variant list.
+// No sweep is one unlabelled variant.
+Sweep parse_sweep(const std::string& text) {
+  if (text.empty()) return {"scenario", std::vector<Variant>(1)};
+  Sweep sweep{"variant", {}};
+  if (text.find('|') != std::string::npos) {
+    for (const std::string& item : split_items(text, '|')) {
+      std::istringstream words(item);
+      Variant variant;
+      words >> variant.label;
+      if (variant.label.find('=') != std::string::npos) {
+        throw std::invalid_argument("sweep: variant '" + item +
+                                    "' does not start with a label");
       }
+      for (std::string word; words >> word;) {
+        const auto eq = word.find('=');
+        if (eq == 0 || eq == std::string::npos || eq + 1 == word.size()) {
+          throw std::invalid_argument("sweep: expected key=value in variant " +
+                                      variant.label + ", got " + word);
+        }
+        variant.overrides.set(word.substr(0, eq), word.substr(eq + 1));
+      }
+      sweep.variants.push_back(std::move(variant));
     }
-    util::Config axis;
-    axis.set(sweep.key, value);
-    exp::apply_config(axis, variant.params);
-    sweep.variants.push_back(std::move(variant));
+  } else {
+    const auto eq = text.find('=');
+    sweep.axis = trim(text.substr(0, std::min(eq, text.size())));
+    if (eq == std::string::npos || sweep.axis.empty()) {
+      throw std::invalid_argument(
+          "sweep: expected <key>=<v1>,<v2>,... or <label> <key>=<v> ... | "
+          "<label> ..., got " + text);
+    }
+    for (const std::string& value : split_items(text.substr(eq + 1), ',')) {
+      Variant variant;
+      variant.label = axis_label(value);
+      variant.overrides.set(sweep.axis, value);
+      sweep.variants.push_back(std::move(variant));
+    }
+  }
+  std::set<std::string> labels;
+  for (const Variant& variant : sweep.variants) {
+    if (!labels.insert(variant.label).second) {
+      throw std::invalid_argument("sweep: duplicate variant " + variant.label);
+    }
   }
   return sweep;
+}
+
+// Draws one variant's per-instance ratios: against the instance index,
+// with the ratio-1 line (Fig. 6), or as the two ratio CDFs (Fig. 8).
+void print_ratio_plot(const std::vector<double>& cost_unaware,
+                      const std::vector<double>& informed,
+                      const std::string& title, bool lifetime) {
+  util::Series cu{"cost-unaware", 'o', {}, cost_unaware};
+  util::Series in{"imobif", '*', {}, informed};
+  util::PlotOptions opts;
+  opts.title = title;
+  std::cout << '\n';
+  if (lifetime) {
+    opts.x_label = "system lifetime ratio";
+    std::cout << util::render_cdf({cu, in}, opts);
+    return;
+  }
+  for (std::size_t i = 0; i < cost_unaware.size(); ++i) {
+    cu.xs.push_back(static_cast<double>(i));
+    in.xs.push_back(static_cast<double>(i));
+  }
+  opts.x_label = "flow instance";
+  opts.y_label = "ratio vs no-mobility";
+  opts.h_line = 1.0;
+  std::cout << util::render_scatter({cu, in}, opts);
 }
 
 int run(int argc, char** argv) {
@@ -131,8 +198,15 @@ int run(int argc, char** argv) {
   exp::ScenarioParams base = bench::paper_defaults();
   base.mean_flow_bits = util::Bits{1.0 * bench::kMB};
   exp::apply_config(scenario, base);
-  Sweep sweep = expand_sweep(sweep_text, base);
+  Sweep sweep = parse_sweep(sweep_text);
   for (Variant& variant : sweep.variants) {
+    variant.params = base;
+    try {
+      exp::apply_config(variant.overrides, variant.params);
+    } catch (const std::invalid_argument& err) {
+      throw std::invalid_argument("sweep: variant " + variant.label + ": " +
+                                  err.what());
+    }
     bench::apply_fault(variant.params, config);
     variant.params.validate();
   }
@@ -155,13 +229,14 @@ int run(int argc, char** argv) {
                       std::to_string(config.instances) +
                       " instances per row");
 
-  const std::string axis_header = sweep.key.empty() ? "scenario" : sweep.key;
-  util::Table table({axis_header, "cost-unaware avg", "imobif avg",
+  // The cost-unaware mobility and transmit energies are Fig. 6(b).
+  util::Table table({sweep.axis, "cost-unaware avg", "imobif avg",
                      "imobif max", "improved", "enabled", "notif avg",
                      "notif max",
                      lifetime ? "baseline s avg" : "baseline J avg",
-                     "moved m avg", "recruits avg", "complete"});
-  util::Table rows({axis_header, "flow", "length KB", "hops", "cost-unaware",
+                     "cu mobility J avg", "cu transmit J avg", "moved m avg",
+                     "recruits avg", "complete"});
+  util::Table rows({sweep.axis, "flow", "length KB", "hops", "cost-unaware",
                     "imobif", "notifications"});
   exp::RunOptions options;
   options.stop_on_first_death = lifetime;
@@ -170,22 +245,27 @@ int run(int argc, char** argv) {
     const auto points = bench::run_comparison(variant.params, config, options);
     totals.add(points);
     const std::string label = variant.label.empty() ? "base" : variant.label;
-    util::Summary cu, in, notif, baseline, moved, recruits;
+    util::Summary cu, in, notif, baseline, mobility_j, transmit_j, moved,
+        recruits;
     std::size_t improved = 0, enabled = 0;
     bool complete = true;
-    std::vector<double> series_values;
+    std::vector<double> cu_ratios, in_ratios, notifications;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto& pt = points[i];
       const double rc = lifetime ? pt.lifetime_ratio_cost_unaware()
                                  : pt.energy_ratio_cost_unaware();
       const double ri = lifetime ? pt.lifetime_ratio_informed()
                                  : pt.energy_ratio_informed();
-      series_values.push_back(ri);
+      cu_ratios.push_back(rc);
+      in_ratios.push_back(ri);
+      notifications.push_back(static_cast<double>(pt.informed.notifications));
       cu.add(rc);
       in.add(ri);
-      notif.add(static_cast<double>(pt.informed.notifications));
+      notif.add(notifications.back());
       baseline.add(lifetime ? pt.baseline.lifetime_s.value()
                             : pt.baseline.total_energy_j.value());
+      mobility_j.add(pt.cost_unaware.movement_energy_j.value());
+      transmit_j.add(pt.cost_unaware.transmit_energy_j.value());
       moved.add(pt.informed.moved_distance_m.value());
       recruits.add(static_cast<double>(pt.informed.recruits));
       // Better than no mobility by more than 0.1%.
@@ -198,10 +278,14 @@ int run(int argc, char** argv) {
                     util::Table::num(ri),
                     std::to_string(pt.informed.notifications)});
     }
-    report.add_series(
-        (variant.label.empty() ? "" : variant.label + " ") + metric +
-            "_ratio_informed",
-        series_values);
+    const std::string name = variant.label.empty() ? "" : variant.label + " ";
+    const std::string ratio = name + (lifetime ? "lifetime_" : "") + "ratio_";
+    report.add_series(ratio + "cost_unaware", cu_ratios);
+    report.add_series(ratio + "informed", in_ratios);
+    report.add_series(name + "notifications", notifications);
+    print_ratio_plot(cu_ratios, in_ratios,
+                     bench_name + " " + label + " - " + metric + " ratio",
+                     lifetime);
     const std::string of_n = "/" + std::to_string(points.size());
     table.add_row({label, util::Table::num(cu.mean()),
                    util::Table::num(in.mean()), util::Table::num(in.max()),
@@ -210,6 +294,8 @@ int run(int argc, char** argv) {
                    util::Table::num(notif.mean()),
                    util::Table::num(notif.max()),
                    util::Table::num(baseline.mean(), 5),
+                   util::Table::num(mobility_j.mean()),
+                   util::Table::num(transmit_j.mean()),
                    util::Table::num(moved.mean()),
                    util::Table::num(recruits.mean()),
                    complete ? "yes" : "NO"});

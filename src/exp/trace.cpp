@@ -1,34 +1,10 @@
 #include "exp/trace.hpp"
 
 #include <algorithm>
-#include <array>
-#include <sstream>
-#include <stdexcept>
 
 #include "net/node.hpp"
-#include "util/json.hpp"
 
 namespace imobif::exp {
-
-const char* TraceRecorder::to_string(Kind kind) {
-  switch (kind) {
-    case Kind::kDelivered:
-      return "delivered";
-    case Kind::kNotificationInitiated:
-      return "notify-sent";
-    case Kind::kNotificationRetry:
-      return "notify-retry";
-    case Kind::kNotificationAtSource:
-      return "notify-at-source";
-    case Kind::kNodeDepleted:
-      return "node-depleted";
-    case Kind::kDrop:
-      return "drop";
-    case Kind::kRecruited:
-      return "recruited";
-  }
-  return "?";
-}
 
 std::size_t TraceRecorder::count(Kind kind) const {
   return static_cast<std::size_t>(
@@ -88,137 +64,6 @@ void TraceRecorder::on_recruited(net::Node& recruit,
   record(recruit, Kind::kRecruited, body.flow_id,
          "between " + std::to_string(body.upstream) + " and " +
              std::to_string(body.downstream));
-}
-
-TraceRecorder::Kind TraceRecorder::kind_from_string(const std::string& name) {
-  static constexpr std::array<Kind, 7> kKinds = {
-      Kind::kDelivered,         Kind::kNotificationInitiated,
-      Kind::kNotificationRetry, Kind::kNotificationAtSource,
-      Kind::kNodeDepleted,      Kind::kDrop,
-      Kind::kRecruited};
-  for (const Kind kind : kKinds) {
-    if (name == to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("TraceRecorder: unknown event name '" + name +
-                              "'");
-}
-
-std::string TraceRecorder::to_jsonl() const {
-  std::string out;
-  for (const Entry& e : entries_) {
-    util::Json row = util::Json::object();
-    row.set("time_s", util::Json(e.time_s));
-    row.set("event", util::Json(to_string(e.kind)));
-    row.set("node", util::Json(static_cast<std::uint64_t>(e.node)));
-    row.set("flow", e.flow == net::kInvalidFlow
-                        ? util::Json(nullptr)
-                        : util::Json(static_cast<std::uint64_t>(e.flow)));
-    row.set("detail", util::Json(e.detail));
-    out += row.dump();
-    out += '\n';
-  }
-  return out;
-}
-
-namespace {
-
-// Minimal field extraction for the fixed JSONL schema emitted above. The
-// writer escapes every interior quote, so a bare "key": pattern can only
-// match the real key.
-std::size_t value_pos(const std::string& line, const std::string& key) {
-  const std::string pattern = "\"" + key + "\":";
-  const std::size_t pos = line.find(pattern);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument("TraceRecorder: missing key '" + key +
-                                "' in: " + line);
-  }
-  return pos + pattern.size();
-}
-
-double number_field(const std::string& line, const std::string& key) {
-  try {
-    return std::stod(line.substr(value_pos(line, key)));
-  } catch (const std::logic_error&) {
-    throw std::invalid_argument("TraceRecorder: bad number for '" + key +
-                                "' in: " + line);
-  }
-}
-
-std::string string_field(const std::string& line, const std::string& key) {
-  std::size_t pos = value_pos(line, key);
-  if (pos >= line.size() || line[pos] != '"') {
-    throw std::invalid_argument("TraceRecorder: expected string for '" + key +
-                                "' in: " + line);
-  }
-  std::string out;
-  for (++pos; pos < line.size(); ++pos) {
-    const char c = line[pos];
-    if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++pos >= line.size()) break;
-    switch (line[pos]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (pos + 4 >= line.size()) {
-          throw std::invalid_argument("TraceRecorder: truncated \\u escape");
-        }
-        const unsigned long code =
-            std::stoul(line.substr(pos + 1, 4), nullptr, 16);
-        // The writer only \u-escapes ASCII control characters.
-        out += static_cast<char>(code);
-        pos += 4;
-        break;
-      }
-      default:
-        throw std::invalid_argument("TraceRecorder: bad escape in: " + line);
-    }
-  }
-  throw std::invalid_argument("TraceRecorder: unterminated string in: " +
-                              line);
-}
-
-}  // namespace
-
-std::vector<TraceRecorder::Entry> TraceRecorder::parse_jsonl(
-    const std::string& text) {
-  std::vector<Entry> out;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Entry e;
-    e.time_s = number_field(line, "time_s");
-    e.kind = kind_from_string(string_field(line, "event"));
-    e.node = static_cast<net::NodeId>(number_field(line, "node"));
-    const std::size_t flow_pos = value_pos(line, "flow");
-    e.flow = line.compare(flow_pos, 4, "null") == 0
-                 ? net::kInvalidFlow
-                 : static_cast<net::FlowId>(number_field(line, "flow"));
-    e.detail = string_field(line, "detail");
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-util::Table TraceRecorder::to_table() const {
-  util::Table table({"time s", "event", "node", "flow", "detail"});
-  for (const Entry& e : entries_) {
-    table.add_row({util::Table::num(e.time_s, 6), to_string(e.kind),
-                   std::to_string(e.node),
-                   e.flow == net::kInvalidFlow ? "-" : std::to_string(e.flow),
-                   e.detail});
-  }
-  return table;
 }
 
 }  // namespace imobif::exp

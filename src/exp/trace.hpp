@@ -1,13 +1,12 @@
 // TraceRecorder: captures the network's event stream (deliveries,
-// notifications, deaths, drops) as timestamped rows for post-hoc analysis
-// or CSV export. Install with Network::set_event_tap().
+// notifications, deaths, drops) as timestamped entries that tests count
+// and inspect. Install with Network::set_event_tap().
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "net/network.hpp"
-#include "util/table.hpp"
 
 namespace imobif::exp {
 
@@ -36,24 +35,6 @@ class TraceRecorder : public net::NetworkEvents {
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t count(Kind kind) const;
   void clear() { entries_.clear(); }
-
-  /// Renders all entries as a table (time, event, node, flow, detail).
-  util::Table to_table() const;
-
-  /// Serializes all entries as JSON Lines: one compact object per entry,
-  /// {"time_s":…,"event":…,"node":…,"flow":…,"detail":…}, where flow is
-  /// null for events not tied to a flow. Machine-readable counterpart of
-  /// to_table() for post-hoc analysis pipelines.
-  std::string to_jsonl() const;
-
-  /// Parses a to_jsonl() dump back into entries (exact round trip for
-  /// recorder-produced lines; blank lines are skipped). Throws
-  /// std::invalid_argument on malformed lines or unknown event names.
-  static std::vector<Entry> parse_jsonl(const std::string& text);
-
-  static const char* to_string(Kind kind);
-  /// Inverse of to_string; throws std::invalid_argument on unknown names.
-  static Kind kind_from_string(const std::string& name);
 
   // net::NetworkEvents
   void on_delivered(net::Node& dest, const net::DataBody& data) override;

@@ -85,32 +85,4 @@ Interval bootstrap_mean_ci(const std::vector<double>& samples,
   return Interval{means.quantile(tail), means.quantile(1.0 - tail)};
 }
 
-double ks_statistic(const std::vector<double>& a,
-                    const std::vector<double>& b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("ks_statistic: empty sample");
-  }
-  std::vector<double> sa = a, sb = b;
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  std::size_t ia = 0, ib = 0;
-  double d = 0.0;
-  while (ia < sa.size() && ib < sb.size()) {
-    // Advance whichever CDF steps next; on ties advance both.
-    const double xa = sa[ia];
-    const double xb = sb[ib];
-    if (xa <= xb) {
-      while (ia < sa.size() && sa[ia] == xa) ++ia;
-    }
-    if (xb <= xa) {
-      while (ib < sb.size() && sb[ib] == xb) ++ib;
-    }
-    d = std::max(d, std::fabs(static_cast<double>(ia) / na -
-                              static_cast<double>(ib) / nb));
-  }
-  return d;
-}
-
 }  // namespace imobif::util

@@ -68,11 +68,4 @@ Interval bootstrap_mean_ci(const std::vector<double>& samples,
                            std::size_t resamples = 2000,
                            std::uint64_t seed = 0x5eed);
 
-/// Two-sample Kolmogorov-Smirnov statistic: the largest vertical distance
-/// between the two empirical CDFs, in [0, 1]. Used by the figure benches
-/// to report how separated two approaches' ratio distributions are.
-/// Requires both samples non-empty.
-double ks_statistic(const std::vector<double>& a,
-                    const std::vector<double>& b);
-
 }  // namespace imobif::util

@@ -2,9 +2,13 @@
 # fail with the std::invalid_argument that names the flag: an instance
 # count "-1" must not wrap to SIZE_MAX, a positional "2x" must not read as
 # 2, and "0" must not write an artifact with no instances; "--seed -1" must
-# not wrap to 2^64 - 1, and "--loss -0.2" must not run a lossless sweep.
+# not wrap to 2^64 - 1, "--loss -0.2" must not run a lossless sweep, and
+# a negative or NaN "--checkpoint-every-s" must not run a sweep that never
+# checkpoints. imobif_sim (SIM_BIN) must also reject a malformed labelled
+# sweep with a message that names `sweep`.
 #
-# Usage: cmake "-DBENCH_BINS=<bin>;<bin>..." -P bench_cli_instances.cmake
+# Usage: cmake "-DBENCH_BINS=<bin>;<bin>..." -DSIM_BIN=<imobif_sim>
+#              -P bench_cli_instances.cmake
 function(expect_rejected bin case pattern)
   separate_arguments(args UNIX_COMMAND "${case}")
   execute_process(COMMAND "${bin}" ${args}
@@ -29,4 +33,15 @@ foreach(bin IN LISTS BENCH_BINS)
                   "'--seed' expects an unsigned integer, got '-1'")
   expect_rejected("${bin}" "--instances 1 --loss -0.2"
                   "--loss expects a probability in \\[0, 1\\], got -0.2")
+  foreach(every IN ITEMS -5 nan inf)
+    expect_rejected("${bin}" "--instances 1 --checkpoint-every-s ${every}"
+                    "--checkpoint-every-s expects a finite number of seconds >= 0, got ${every}")
+  endforeach()
 endforeach()
+
+expect_rejected("${SIM_BIN}" "--instances 1 --sweep '(a) k=1 | (b) kk=2'"
+                "sweep: variant \\(b\\): .*unknown scenario key 'kk'")
+expect_rejected("${SIM_BIN}" "--instances 1 --sweep '(a) k=1 | (a) k=2'"
+                "sweep: duplicate variant \\(a\\)")
+expect_rejected("${SIM_BIN}" "--instances 1 --sweep '(a) k=1 | | (b) k=2'"
+                "sweep: empty variant in")

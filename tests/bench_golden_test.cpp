@@ -1,6 +1,7 @@
-// Golden regression gate for the figure benches and the mobility grid:
-// every fig5-8 binary and mobility_sweep, run at --instances 4, must
-// reproduce its committed baseline byte for byte.
+// Golden regression gate for the figures and the mobility grid: fig5,
+// the fig6 and fig8 confs through imobif_sim (fig7 is fig6's "(c)
+// notifications" series) and mobility_sweep, each run at --instances 4,
+// must reproduce the committed baseline byte for byte.
 //
 // The repo's house invariant is that refactors of the simulator core —
 // grid-only neighbor discovery, SoA node state, batched event draining
@@ -26,25 +27,24 @@ namespace imobif {
 namespace {
 
 struct FigureBench {
-  const char* name;    ///< for diagnostics
-  const char* binary;  ///< injected by CMake
+  const char* name;     ///< for diagnostics
+  std::string command;  ///< binary (injected by CMake) and its flags
   const char* baseline;
-  const char* extra_flags = "";
 };
 
-const std::vector<FigureBench>& figure_benches() {
-  static const std::vector<FigureBench> kBenches = {
+std::vector<FigureBench> figure_benches() {
+  const std::string sim = std::string(IMOBIF_SIM_BIN) + " --config " +
+                          IMOBIF_SCENARIO_DIR + "/";
+  return {
       {"fig5_placement", IMOBIF_FIG5_BIN, "BENCH_fig5_i4.json"},
-      {"fig6_energy", IMOBIF_FIG6_BIN, "BENCH_fig6_i4.json"},
+      {"fig6_energy", sim + "fig6_energy.conf", "BENCH_fig6_i4.json"},
       // Three workers split an instance's mode runs across threads.
-      {"fig6_energy_jobs3", IMOBIF_FIG6_BIN, "BENCH_fig6_i4.json",
-       " --jobs 3"},
-      {"fig7_notifications", IMOBIF_FIG7_BIN, "BENCH_fig7_i4.json"},
-      {"fig8_lifetime", IMOBIF_FIG8_BIN, "BENCH_fig8_i4.json"},
-      {"mobility_sweep", IMOBIF_MOBILITY_BIN, "BENCH_mobility.json",
-       " --jobs 4"},
+      {"fig6_energy_jobs3", sim + "fig6_energy.conf --jobs 3",
+       "BENCH_fig6_i4.json"},
+      {"fig8_lifetime", sim + "fig8_lifetime.conf", "BENCH_fig8_i4.json"},
+      {"mobility_sweep", std::string(IMOBIF_MOBILITY_BIN) + " --jobs 4",
+       "BENCH_mobility.json"},
   };
-  return kBenches;
 }
 
 std::string slurp(const std::filesystem::path& path) {
@@ -79,9 +79,8 @@ TEST(BenchGolden, FigureReportsMatchCommittedBaselines) {
     SCOPED_TRACE(bench.name);
     const std::filesystem::path out_json =
         scratch / (std::string(bench.name) + ".json");
-    const std::string command = std::string(bench.binary) +
-                                " --instances 4" + bench.extra_flags +
-                                " --json " + out_json.string() + " > /dev/null";
+    const std::string command = bench.command + " --instances 4 --json " +
+                                out_json.string() + " > /dev/null";
     ASSERT_EQ(std::system(command.c_str()), 0) << command;
 
     const std::filesystem::path baseline = baseline_dir / bench.baseline;

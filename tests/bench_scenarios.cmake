@@ -1,7 +1,8 @@
-# Runs every committed scenario conf through imobif_sim at one
-# instance and requires exit 0 with one JSON series per sweep value (one
-# series when the conf has no sweep), so the confs cannot rot. The first
-# conf runs a second time with --loss 0.3 and must report injected drops.
+# Runs every committed scenario conf through imobif_sim at one instance
+# and requires exit 0 with three JSON series (the two ratios and the
+# notification counts) per sweep variant, or three when the conf has no
+# sweep, so the confs cannot rot. The first conf runs a second time with
+# --loss 0.3 and must report injected drops.
 #
 # Usage: cmake -DSIM_BIN=<imobif_sim> -DSCENARIO_DIR=<dir> -DOUT_DIR=<dir>
 #              -P bench_scenarios.cmake
@@ -28,14 +29,20 @@ foreach(conf IN LISTS confs)
   set(json "${OUT_DIR}/${name}.json")
   run_conf("${conf}" "${json}")
 
-  # Expected series: the number of values on the conf's `sweep =` line.
+  # Expected series: three per variant of the conf's `sweep =` line, which
+  # lists labelled variants between `|` or values after `key=` between `,`.
   file(STRINGS "${conf}" sweep_lines REGEX "^[ \t]*sweep[ \t]*=")
-  set(expected 1)
+  set(variants 1)
   if(sweep_lines)
-    string(REGEX REPLACE "^[^=]*=[^=]*=" "" values "${sweep_lines}")
-    string(REPLACE "," ";" values "${values}")
-    list(LENGTH values expected)
+    if(sweep_lines MATCHES "[|]")
+      string(REGEX MATCHALL "[|]" separators "${sweep_lines}")
+    else()
+      string(REGEX MATCHALL "," separators "${sweep_lines}")
+    endif()
+    list(LENGTH separators variants)
+    math(EXPR variants "${variants} + 1")
   endif()
+  math(EXPR expected "3 * ${variants}")
   file(READ "${json}" report)
   string(JSON series LENGTH "${report}" series)
   if(NOT series EQUAL expected)

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -66,59 +65,6 @@ TEST(TraceRecorder, CapturesDeaths) {
   h.net().start_flow(default_flow(h.net(), 8192.0 * 1000));
   h.net().run_flows(Seconds{300.0}, Seconds{30.0});
   EXPECT_GE(trace.count(TraceRecorder::Kind::kNodeDepleted), 1u);
-}
-
-TEST(TraceRecorder, TableRendersAllRows) {
-  auto h = make_harness(line_positions(3, 300.0));
-  TraceRecorder trace;
-  h.net().set_event_tap(&trace);
-  h.net().warmup(Seconds{25.0});
-  h.net().start_flow(default_flow(h.net(), 8192.0 * 2));
-  h.net().run_flows(Seconds{60.0});
-  const util::Table table = trace.to_table();
-  EXPECT_EQ(table.row_count(), trace.entries().size());
-  std::ostringstream os;
-  table.print(os);
-  EXPECT_NE(os.str().find("delivered"), std::string::npos);
-}
-
-TEST(TraceRecorder, JsonlRoundTripsExactly) {
-  // A bent-path informed run produces a mix of kinds (deliveries plus
-  // notification traffic), so the round trip covers flow-less entries too.
-  std::vector<geom::Vec2> bent{{0, 0}, {130, 50}, {260, -50}, {390, 0}};
-  test::HarnessOptions opts;
-  opts.mode = core::MobilityMode::kInformed;
-  auto h = make_harness(bent, opts);
-  TraceRecorder trace;
-  h.net().set_event_tap(&trace);
-  h.net().warmup(Seconds{25.0});
-  h.net().start_flow(default_flow(h.net(), 8192.0 * 4000));
-  h.net().run_flows(Seconds{8192.0 * 4000 / 8192.0 * 4.0});
-  ASSERT_GE(trace.entries().size(), 2u);
-
-  const std::string jsonl = trace.to_jsonl();
-  const std::vector<TraceRecorder::Entry> parsed =
-      TraceRecorder::parse_jsonl(jsonl);
-  ASSERT_EQ(parsed.size(), trace.entries().size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const auto& original = trace.entries()[i];
-    EXPECT_EQ(parsed[i].time_s, original.time_s);  // bit-exact, not near
-    EXPECT_EQ(parsed[i].kind, original.kind);
-    EXPECT_EQ(parsed[i].node, original.node);
-    EXPECT_EQ(parsed[i].flow, original.flow);
-    EXPECT_EQ(parsed[i].detail, original.detail);
-  }
-  EXPECT_EQ(TraceRecorder::parse_jsonl(jsonl + "\n\n").size(), parsed.size())
-      << "blank lines must be skipped";
-}
-
-TEST(TraceRecorder, ParseJsonlRejectsMalformedLines) {
-  EXPECT_THROW(TraceRecorder::parse_jsonl("not json\n"),
-               std::invalid_argument);
-  EXPECT_THROW(TraceRecorder::parse_jsonl(
-                   R"({"time_s":1,"event":"warp","node":0,"flow":null,)"
-                   R"("detail":""})"),
-               std::invalid_argument);
 }
 
 TEST(TraceRecorder, ClearEmpties) {

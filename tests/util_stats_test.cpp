@@ -112,51 +112,6 @@ TEST(BootstrapCi, ConstantSampleDegenerates) {
   EXPECT_DOUBLE_EQ(ci.hi, 4.0);
 }
 
-TEST(KsStatistic, IdenticalSamplesAreZero) {
-  const std::vector<double> s{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(s, s), 0.0);
-}
-
-TEST(KsStatistic, DisjointSamplesAreOne) {
-  EXPECT_DOUBLE_EQ(ks_statistic({1.0, 2.0}, {10.0, 11.0}), 1.0);
-  EXPECT_DOUBLE_EQ(ks_statistic({10.0, 11.0}, {1.0, 2.0}), 1.0);
-}
-
-TEST(KsStatistic, KnownSmallCase) {
-  // a = {1, 3}, b = {2, 4}: after x=1 CDFs are (0.5, 0); after 2: (0.5,
-  // 0.5); after 3: (1, 0.5); after 4: (1, 1). Max gap 0.5.
-  EXPECT_DOUBLE_EQ(ks_statistic({1.0, 3.0}, {2.0, 4.0}), 0.5);
-}
-
-TEST(KsStatistic, SymmetricAndBounded) {
-  util::Rng rng(44);
-  std::vector<double> a, b;
-  for (int i = 0; i < 300; ++i) {
-    a.push_back(rng.uniform(0.0, 1.0));
-    b.push_back(rng.uniform(0.2, 1.2));
-  }
-  const double ab = ks_statistic(a, b);
-  const double ba = ks_statistic(b, a);
-  EXPECT_DOUBLE_EQ(ab, ba);
-  EXPECT_GT(ab, 0.05);  // shifted distributions separate
-  EXPECT_LE(ab, 1.0);
-}
-
-TEST(KsStatistic, SameDistributionIsSmall) {
-  util::Rng rng(45);
-  std::vector<double> a, b;
-  for (int i = 0; i < 2000; ++i) {
-    a.push_back(rng.exponential(2.0));
-    b.push_back(rng.exponential(2.0));
-  }
-  EXPECT_LT(ks_statistic(a, b), 0.08);
-}
-
-TEST(KsStatistic, EmptyThrows) {
-  EXPECT_THROW(ks_statistic({}, {1.0}), std::invalid_argument);
-  EXPECT_THROW(ks_statistic({1.0}, {}), std::invalid_argument);
-}
-
 TEST(BootstrapCi, Validation) {
   EXPECT_THROW(bootstrap_mean_ci({}), std::invalid_argument);
   EXPECT_THROW(bootstrap_mean_ci({1.0}, 1.5), std::invalid_argument);
