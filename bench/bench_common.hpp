@@ -133,16 +133,19 @@ inline void apply_seed(exp::ScenarioParams& params, const BenchConfig& config) {
 /// the backoff keeps the extra traffic negligible.
 inline constexpr std::uint32_t kBenchNotifyRetryCap = 6;
 
-/// Applies the --loss / --fault-seed overrides. With --loss 0 (the
-/// default) this leaves `params` untouched so every artifact stays
-/// byte-identical to a build without the fault layer; with loss > 0 it
-/// arms the injector and the notification retry machinery.
+/// Applies the --loss / --fault-seed overrides. --loss > 0 arms the
+/// injector, seeded from the scenario seed, and the notification retry
+/// machinery; --fault-seed only reseeds the injector, keeping the
+/// scenario's loss. With neither flag `params` is untouched, so every
+/// artifact stays byte-identical to a build without the fault layer.
 inline void apply_fault(exp::ScenarioParams& params,
                         const BenchConfig& config) {
-  if (config.loss <= 0.0 && !config.fault_seed_set) return;
-  params.fault.loss_rate = config.loss;
-  params.fault.seed = config.fault_seed_set ? config.fault_seed : params.seed;
-  params.notify_retry_cap = kBenchNotifyRetryCap;
+  if (config.loss > 0.0) {
+    params.fault.loss_rate = config.loss;
+    params.fault.seed = params.seed;
+    params.notify_retry_cap = kBenchNotifyRetryCap;
+  }
+  if (config.fault_seed_set) params.fault.seed = config.fault_seed;
 }
 
 /// Accumulates medium drop counters and notification-reliability totals
@@ -153,8 +156,16 @@ struct FaultCounters {
   std::uint64_t notifications_applied = 0;
 
   void add(const exp::RunResult& run) {
-    add(FaultCounters{run.medium, run.notify_retries,
-                      run.notifications_applied});
+    medium.broadcasts += run.medium.broadcasts;
+    medium.unicasts += run.medium.unicasts;
+    medium.delivered += run.medium.delivered;
+    medium.dropped_out_of_range += run.medium.dropped_out_of_range;
+    medium.dropped_dead += run.medium.dropped_dead;
+    medium.dropped_unknown += run.medium.dropped_unknown;
+    medium.dropped_injected += run.medium.dropped_injected;
+    medium.dropped_faulted += run.medium.dropped_faulted;
+    notify_retries += run.notify_retries;
+    notifications_applied += run.notifications_applied;
   }
 
   void add(const std::vector<exp::ComparisonPoint>& points) {
@@ -163,19 +174,6 @@ struct FaultCounters {
       add(pt.cost_unaware);
       add(pt.informed);
     }
-  }
-
-  void add(const FaultCounters& other) {
-    medium.broadcasts += other.medium.broadcasts;
-    medium.unicasts += other.medium.unicasts;
-    medium.delivered += other.medium.delivered;
-    medium.dropped_out_of_range += other.medium.dropped_out_of_range;
-    medium.dropped_dead += other.medium.dropped_dead;
-    medium.dropped_unknown += other.medium.dropped_unknown;
-    medium.dropped_injected += other.medium.dropped_injected;
-    medium.dropped_faulted += other.medium.dropped_faulted;
-    notify_retries += other.notify_retries;
-    notifications_applied += other.notifications_applied;
   }
 
   void export_to(runtime::SweepReport& report) const {

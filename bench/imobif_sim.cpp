@@ -4,7 +4,8 @@
 // iMobif) and prints one summary row per sweep variant. The scenario
 // starts from the paper defaults with 1 MB mean flows, then takes
 // `key = value` lines from --config FILE and any scenario key given as a
-// flag (flags win). Two more keys come from that same merged config:
+// flag (flags win). A relative mobility.trace_file in FILE names a path
+// from FILE's directory. Two more keys come from that same merged config:
 //
 //   sweep = <key>=<v1>,<v2>,...   one N-instance sweep per value, in order
 //   sweep = <label> [k=v ...] | <label> [k=v ...] | ...
@@ -13,8 +14,10 @@
 //   lifetime = true               stop at the first death and report
 //                                 lifetime ratios instead of energy ratios
 //
-// Figures 6-8 and every one-axis ablation are committed confs under
-// examples/scenarios/:
+// Figures 6-8, every one-axis ablation, the mobility x traffic grid and
+// the lossy-channel sweep are committed confs under examples/scenarios/.
+// Each variant reports its two ratios and, from the iMobif run, its
+// notifications, retries, applied notifications and moved distance:
 //
 //   $ ./imobif_sim --config examples/scenarios/fig6_energy.conf --instances 40
 //   $ ./imobif_sim --config fig8_lifetime.conf --jobs 4 --json out.json
@@ -180,8 +183,18 @@ int run(int argc, char** argv) {
   const util::Args args(argc, argv);
 
   util::Config merged;
+  const std::filesystem::path conf = args.get_string("config");
   if (args.has("config")) {
-    merged = util::Config::from_file(args.get_string("config"));
+    merged = util::Config::from_file(conf.string());
+    // A conf names its trace file relative to itself; a flag, to the cwd.
+    const std::filesystem::path trace =
+        merged.get_string("mobility.trace_file");
+    if (!trace.empty() && trace.is_relative()) {
+      merged.set("mobility.trace_file",
+                 std::filesystem::absolute(conf.parent_path() / trace)
+                     .lexically_normal()
+                     .string());
+    }
   }
   for (const std::string& key : args.keys()) {
     if (!is_run_flag(key)) merged.set(key, args.get_string(key));
@@ -219,9 +232,7 @@ int run(int argc, char** argv) {
   }
 
   const std::string bench_name =
-      args.has("config")
-          ? std::filesystem::path(args.get_string("config")).stem().string()
-          : "imobif_sim";
+      args.has("config") ? conf.stem().string() : "imobif_sim";
   const std::string metric = lifetime ? "lifetime" : "energy";
   runtime::SweepReport report(bench_name);
   bench::print_header(bench_name + " - " + metric +
@@ -249,7 +260,8 @@ int run(int argc, char** argv) {
         recruits;
     std::size_t improved = 0, enabled = 0;
     bool complete = true;
-    std::vector<double> cu_ratios, in_ratios, notifications;
+    std::vector<double> cu_ratios, in_ratios, notifications, retries, applied,
+        moved_m;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto& pt = points[i];
       const double rc = lifetime ? pt.lifetime_ratio_cost_unaware()
@@ -259,6 +271,10 @@ int run(int argc, char** argv) {
       cu_ratios.push_back(rc);
       in_ratios.push_back(ri);
       notifications.push_back(static_cast<double>(pt.informed.notifications));
+      retries.push_back(static_cast<double>(pt.informed.notify_retries));
+      applied.push_back(
+          static_cast<double>(pt.informed.notifications_applied));
+      moved_m.push_back(pt.informed.moved_distance_m.value());
       cu.add(rc);
       in.add(ri);
       notif.add(notifications.back());
@@ -266,7 +282,7 @@ int run(int argc, char** argv) {
                             : pt.baseline.total_energy_j.value());
       mobility_j.add(pt.cost_unaware.movement_energy_j.value());
       transmit_j.add(pt.cost_unaware.transmit_energy_j.value());
-      moved.add(pt.informed.moved_distance_m.value());
+      moved.add(moved_m.back());
       recruits.add(static_cast<double>(pt.informed.recruits));
       // Better than no mobility by more than 0.1%.
       if (lifetime ? ri > 1.001 : ri < 0.999) ++improved;
@@ -283,6 +299,9 @@ int run(int argc, char** argv) {
     report.add_series(ratio + "cost_unaware", cu_ratios);
     report.add_series(ratio + "informed", in_ratios);
     report.add_series(name + "notifications", notifications);
+    report.add_series(name + "notify_retries", retries);
+    report.add_series(name + "notifications_applied", applied);
+    report.add_series(name + "moved_distance_m", moved_m);
     print_ratio_plot(cu_ratios, in_ratios,
                      bench_name + " " + label + " - " + metric + " ratio",
                      lifetime);

@@ -279,10 +279,13 @@ constexpr Key kKeys[] = {
           [](auto& p) -> auto& { return p.mob.group_count; }, mobility_on),
     field("mobility.group_radius_m",
           [](auto& p) -> auto& { return p.mob.group_radius_m; }, mobility_on),
+    // Only the trace model reads it, so the other models' text does not
+    // depend on where a conf points it.
     field("mobility.trace_file",
           [](auto& p) -> auto& { return p.mob.trace_file; },
           [](const ScenarioParams& p) {
-            return p.mob.enabled() && !p.mob.trace_file.empty();
+            return p.mob.model == mob::ModelId::kTrace &&
+                   !p.mob.trace_file.empty();
           }),
     field("mobility.charge_energy",
           [](auto& p) -> auto& { return p.mob.charge_energy; }, mobility_on),

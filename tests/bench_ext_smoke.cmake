@@ -1,7 +1,7 @@
 # Smoke-runs the extension benches: each must exit 0 and write a JSON
 # report with its expected number of series.
 #
-# Usage: cmake -DEXT_LOSSY=<bin> -DEXT_MULTIFLOW=<bin> -DOUT_DIR=<dir>
+# Usage: cmake -DEXT_MULTIFLOW=<bin> -DOUT_DIR=<dir>
 #              -P bench_ext_smoke.cmake
 file(MAKE_DIRECTORY "${OUT_DIR}")
 function(expect_series bin flags want)
@@ -23,5 +23,4 @@ function(expect_series bin flags want)
   endif()
 endfunction()
 
-expect_series("${EXT_LOSSY}" "--instances 1" 32)
 expect_series("${EXT_MULTIFLOW}" "" 5)

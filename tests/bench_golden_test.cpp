@@ -1,16 +1,19 @@
-// Golden regression gate for the figures and the mobility grid: fig5,
-// the fig6 and fig8 confs through imobif_sim (fig7 is fig6's "(c)
-// notifications" series) and mobility_sweep, each run at --instances 4,
-// must reproduce the committed baseline byte for byte.
+// Golden regression gate for the figures, the mobility grid and the
+// lossy-channel sweep: fig5, and the fig6, fig8, mobility_sweep and
+// ext_lossy confs through imobif_sim (fig7 is fig6's "(c) notifications"
+// series), each run at --instances 4, must reproduce the committed
+// baseline byte for byte.
 //
 // The repo's house invariant is that refactors of the simulator core —
 // grid-only neighbor discovery, SoA node state, batched event draining
 // (DESIGN.md §12) — leave the paper artifacts bit-identical. The committed
 // BENCH_fig*_i4.json files pin that contract at a budget small enough for
 // every CI run; the full --instances 8 baselines stay the documentation
-// artifacts (bench/baselines/README.md). The mobility grid is seeded and
-// deterministic too, and its report is identical for any worker count, so
-// it runs with --jobs 4 to keep the test short.
+// artifacts (bench/baselines/README.md). The mobility grid and the lossy
+// sweep are seeded and deterministic too, and their reports are identical
+// for any worker count, so they run with --jobs 4 to keep the test short.
+// ext_lossy is the one golden with loss, Gilbert-Elliott bursts and
+// notification retries on; its baseline was written at --jobs 1.
 //
 // wall_ms is the one machine-dependent line in a report; it is stripped
 // from both sides before comparison, mirroring the CI bit-identity check.
@@ -42,8 +45,10 @@ std::vector<FigureBench> figure_benches() {
       {"fig6_energy_jobs3", sim + "fig6_energy.conf --jobs 3",
        "BENCH_fig6_i4.json"},
       {"fig8_lifetime", sim + "fig8_lifetime.conf", "BENCH_fig8_i4.json"},
-      {"mobility_sweep", std::string(IMOBIF_MOBILITY_BIN) + " --jobs 4",
+      {"mobility_sweep", sim + "mobility_sweep.conf --jobs 4",
        "BENCH_mobility.json"},
+      {"ext_lossy", sim + "ext_lossy.conf --jobs 4",
+       "BENCH_ext_lossy_i4.json"},
   };
 }
 

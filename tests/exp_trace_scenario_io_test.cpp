@@ -400,5 +400,23 @@ TEST(ScenarioIo, ConfigStringKnownAnswers) {
       "seed = 18446744073709551615\n");
 }
 
+// Only the trace model reads mobility.trace_file, so the other models'
+// text (and with it every checkpoint unit name) must not carry a path a
+// conf happens to set for its trace variant.
+TEST(ScenarioIo, TraceFileWrittenOnlyUnderTraceModel) {
+  constexpr const char* kLine = "mobility.trace_file = walk.trace\n";
+  ScenarioParams p;
+  p.mob.trace_file = "walk.trace";
+  for (const mob::ModelId model :
+       {mob::ModelId::kNone, mob::ModelId::kRandomWaypoint,
+        mob::ModelId::kGaussMarkov, mob::ModelId::kGroup}) {
+    p.mob.model = model;
+    EXPECT_EQ(to_config_string(p).find(kLine), std::string::npos)
+        << mob::to_string(model);
+  }
+  p.mob.model = mob::ModelId::kTrace;
+  EXPECT_NE(to_config_string(p).find(kLine), std::string::npos);
+}
+
 }  // namespace
 }  // namespace imobif::exp
