@@ -225,7 +225,11 @@ int run(int argc, char** argv) {
   }
 
   if (args.get_bool("print-config")) {
-    std::cout << exp::to_config_string(base);
+    // The scenario as it runs: --loss and --fault-seed apply to every
+    // variant, so show them applied.
+    exp::ScenarioParams effective = base;
+    bench::apply_fault(effective, config);
+    std::cout << exp::to_config_string(effective);
     if (lifetime) std::cout << "lifetime = true\n";
     if (!sweep_text.empty()) std::cout << "sweep = " << sweep_text << "\n";
     return 0;

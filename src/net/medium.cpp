@@ -92,6 +92,7 @@ void Medium::broadcast(const Node& sender, const Packet& pkt) {
           ++counters_.dropped_injected;
           return;
         }
+        node->neighbors().prefetch();
         receivers_.push_back(id);
       });
   if (receivers_.empty()) return;

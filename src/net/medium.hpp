@@ -15,6 +15,12 @@
 // loss checks, in grid visit order, and schedules them as one fan-out
 // entry (Simulator::fanout): the simulator then pops one kDeliver per
 // receiver, each naming the same slab slot. A unicast is a fan of one.
+// While it reads each receiver's Node, the broadcast also prefetches the
+// first line of that receiver's neighbor table (its id column): the
+// delivery that upserts the sender comes one propagation delay later,
+// hundreds of events on in a large network, and then finds the line
+// cached. Only that one line: prefetching whole tables cost the small
+// networks more than it saved.
 #pragma once
 
 #include <cstdint>

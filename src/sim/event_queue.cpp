@@ -21,8 +21,15 @@ EventId EventQueue::schedule(Time when, const EventTag& tag) {
   Slot& s = slots_[slot];
   s.tag = tag;
   ++s.gen;  // even (free) -> odd (pending)
-  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry entry{when, next_seq_++, slot, s.gen};
+  // Seq only grows, so an entry no earlier than the FIFO's back keeps it
+  // in (time, seq) order.
+  if (sorted_.empty() || when >= sorted_.back().when) {
+    sorted_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   ++live_count_;
   return (static_cast<EventId>(s.gen) << 32) | slot;
 }
@@ -66,17 +73,36 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::drop_dead_top() const {
+void EventQueue::drop_dead_fronts() const {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
+  while (!sorted_.empty() && !entry_live(sorted_.front())) {
+    sorted_.pop_front();
+  }
+}
+
+const EventQueue::Entry* EventQueue::first_entry() const {
+  const Entry* top = heap_.empty() ? nullptr : &heap_.front();
+  if (sorted_.empty()) return top;
+  const Entry* head = &sorted_.front();
+  return top == nullptr || Later{}(*top, *head) ? head : top;
+}
+
+bool EventQueue::fan_first(const Entry* first) const {
+  if (fans_.empty()) return false;
+  if (first == nullptr) return true;
+  const Fan& fan = fans_.front();
+  return first->when != fan.when ? fan.when < first->when
+                                 : fan.seq < first->seq;
 }
 
 Time EventQueue::next_time() const {
   if (live_count_ == 0) return Time::infinity();
-  drop_dead_top();
-  return fan_first() ? fans_.front().when : heap_.front().when;
+  drop_dead_fronts();
+  const Entry* first = first_entry();
+  return fan_first(first) ? fans_.front().when : first->when;
 }
 
 Event EventQueue::pop() {
@@ -90,10 +116,11 @@ Event EventQueue::pop() {
 bool EventQueue::pop_due(Time until, Event& out) {
   for (;;) {
     if (live_count_ == 0) return false;
-    // A cancelled heap top still bounds every live heap entry from below,
-    // so a fan ahead of it holds the earliest live event: a delivery
-    // reads no slot.
-    if (fan_first()) {
+    // A cancelled heap top or FIFO front still bounds every live entry of
+    // its container from below, so a fan ahead of both holds the earliest
+    // live event: a delivery reads no slot.
+    const Entry* first = first_entry();
+    if (fan_first(first)) {
       Fan& fan = fans_.front();
       if (fan.when > until) return false;
       out = Event{fan.when, fan.seq,
@@ -104,11 +131,15 @@ bool EventQueue::pop_due(Time until, Event& out) {
       --live_count_;
       break;
     }
-    const Entry top = heap_.front();
+    const Entry top = *first;
     const bool live = entry_live(top);
     if (live && top.when > until) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    if (!sorted_.empty() && first == &sorted_.front()) {
+      sorted_.pop_front();
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
     if (!live) continue;  // cancelled: dropped lazily
     out = Event{top.when, top.seq, slots_[top.slot].tag};
     release(top.slot);
@@ -133,7 +164,14 @@ std::vector<Event> EventQueue::pending() const {
   }
   std::sort(out.begin(), out.end(), earlier);
   const auto heap_count = static_cast<std::ptrdiff_t>(out.size());
-  // The fans are already in execution order; expand and merge them in.
+  // The FIFO and the fans are already in execution order; merge each in.
+  for (const Entry& entry : sorted_) {
+    if (!entry_live(entry)) continue;
+    out.push_back(Event{entry.when, entry.seq, slots_[entry.slot].tag});
+  }
+  std::inplace_merge(out.begin(), out.begin() + heap_count, out.end(),
+                     earlier);
+  const auto entry_count = static_cast<std::ptrdiff_t>(out.size());
   auto receiver = fan_receivers_.begin();
   for (const Fan& fan : fans_) {
     for (std::uint32_t k = 0; k < fan.remaining; ++k, ++receiver) {
@@ -141,13 +179,14 @@ std::vector<Event> EventQueue::pending() const {
                           EventTag::deliver(*receiver, fan.packet)});
     }
   }
-  std::inplace_merge(out.begin(), out.begin() + heap_count, out.end(),
+  std::inplace_merge(out.begin(), out.begin() + entry_count, out.end(),
                      earlier);
   return out;
 }
 
 std::size_t EventQueue::approx_bytes() const {
   return heap_.capacity() * sizeof(Entry) +
+         sorted_.capacity() * sizeof(Entry) +
          fans_.capacity() * sizeof(Fan) +
          fan_receivers_.capacity() * sizeof(std::uint32_t) +
          slots_.capacity() * sizeof(Slot) +

@@ -1,5 +1,5 @@
-// Discrete-event queue: a binary heap of (time, sequence, slot) entries
-// over a slot table of event records, with O(log n) push/pop and lazy
+// Discrete-event queue: a binary heap and a sorted FIFO of (time,
+// sequence, slot) entries over a slot table of event records, with lazy
 // cancellation, beside a FIFO of broadcast fan-outs.
 //
 // Ties in time are broken by insertion sequence, so same-tick events run in
@@ -8,14 +8,23 @@
 //
 // Storage (DESIGN.md §12): each event scheduled with schedule() occupies
 // one slot of a vector that holds its EventTag and a generation counter;
-// freed slots are reused. A heap entry names its slot and the generation it
+// freed slots are reused. An entry names its slot and the generation it
 // was scheduled under, and an EventId packs the same pair (generation in
 // the high 32 bits). A slot's generation is odd while its event is pending
 // and even while the slot is free; popping or cancelling bumps it. So
-// liveness of a heap entry and validity of a cancel() handle are each one
+// liveness of an entry and validity of a cancel() handle are each one
 // array read: a stale handle whose slot has since been reused carries an
 // older generation and is refused, leaving the new occupant alone. Ids are
 // never 0 (a live generation is odd), which callers use as "no event".
+//
+// The sorted FIFO: schedule() appends an entry to a FIFO when its time is
+// no earlier than the FIFO's back, and pushes it onto the heap otherwise.
+// Seq only grows, so the FIFO stays in (time, seq) order. Every HELLO
+// re-arm (now + hello interval) qualifies, so the pending ticks, one per
+// node, sit in the FIFO at O(1) per schedule and pop rather than in a
+// heap of the network's size. One far-future entry at the back sends
+// shorter schedules to the heap until it pops; that costs speed, never
+// order.
 //
 // The fan FIFO: about nine in ten events are kDeliver records, and the
 // medium schedules a whole broadcast's deliveries at once, at now +
@@ -23,22 +32,21 @@
 // first seq, packet, remaining} and reserves one seq per receiver; the
 // receiver ids sit in a second FIFO beside it. Fans arrive in (time, seq)
 // order, so the FIFO is sorted like the heap's pop order, and pop() takes
-// the earlier of the heap top and the front fan's next delivery, which it
-// hands out by advancing the fan's cursor: no slot, no heap push, nothing
-// freed. A cancelled heap top bounds every live heap entry from below, so
-// it is dropped only once it is earlier than the front fan, and a delivery
-// reads no slot. The popped stream, seq values included, is exactly that
-// of one heap holding every delivery, while deliveries skip the O(log n)
-// sift through a heap that holds every pending HELLO tick. A fan earlier
-// than the back fan (none in practice) goes on the heap, one entry per
-// receiver. Fan deliveries cannot be cancelled; schedule() always uses
-// the heap, so a directly scheduled kDeliver still can.
+// the earliest of the heap top, the sorted FIFO's front and the front
+// fan's next delivery, which it hands out by advancing the fan's cursor:
+// no slot, no heap push, nothing freed. A cancelled heap top or FIFO front
+// bounds every live entry of its container from below, so it is dropped
+// only once it is earlier than the front fan, and a delivery reads no
+// slot. The popped stream, seq values included, is exactly that of one
+// heap holding every event. A fan earlier than the back fan (none in
+// practice) goes through schedule(), one entry per receiver. Fan
+// deliveries cannot be cancelled; a directly scheduled kDeliver still can.
 //
 // The heap is a std::vector managed with std::push_heap/pop_heap (not a
 // std::priority_queue) so live events can be *enumerated* for
-// checkpointing: pending() returns every live event of both containers in
-// execution order, each fan expanded into its per-receiver records,
-// without disturbing the queue.
+// checkpointing: pending() returns every live event of the three
+// containers in execution order, each fan expanded into its per-receiver
+// records, without disturbing the queue.
 #pragma once
 
 #include <cstdint>
@@ -158,20 +166,21 @@ class EventQueue {
   }
   /// Ends the slot's current event (popped or cancelled) and frees it.
   void release(std::uint32_t slot);
-  /// Drops cancelled entries off the heap top (lazy cancellation).
-  void drop_dead_top() const;
-  /// True when the front fan's next delivery comes before the heap top
-  /// (live or cancelled) or the heap is empty. Requires a live event.
-  bool fan_first() const {
-    if (fans_.empty()) return false;
-    if (heap_.empty()) return true;
-    const Entry& top = heap_.front();
-    const Fan& fan = fans_.front();
-    return top.when != fan.when ? fan.when < top.when : fan.seq < top.seq;
-  }
+  /// Drops cancelled entries off the heap top and the FIFO front (lazy
+  /// cancellation).
+  void drop_dead_fronts() const;
+  /// The earlier of the heap top and the FIFO front, live or cancelled;
+  /// null when both are empty.
+  const Entry* first_entry() const;
+  /// True when the front fan's next delivery comes before `first` (the
+  /// first_entry()) or there is none. Requires a live event.
+  bool fan_first(const Entry* first) const;
 
   /// Max-heap under Later: the earliest (time, seq) on top.
   mutable std::vector<Entry> heap_;
+  /// Scheduled entries in (time, seq) order, the earliest in front: each
+  /// schedule() no earlier than the back lands here instead of the heap.
+  mutable VecFifo<Entry> sorted_;
   /// Broadcast fan-outs in (time, seq) order, the earliest in front.
   VecFifo<Fan> fans_;
   /// The fans' receivers, front fan first, each fan's in delivery order.

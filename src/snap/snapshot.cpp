@@ -441,7 +441,12 @@ template <class Sink>
                           battery.initial(), battery.residual(),
                           battery.consumed_transmit(), battery.consumed_move(),
                           battery.consumed_other()});
-    ar.list(node.neighbors().all_entries());
+    // The bytes of ar.list over the table's entries, read in place.
+    const net::NeighborTable& neighbors = node.neighbors();
+    ar.u64(neighbors.size());
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      ar.record(neighbors.entry(k));
+    }
     // Most nodes carry no flow: skip the sorted copy for them.
     ar.u64(node.flows().size());
     if (node.flows().size() == 0) continue;
@@ -631,7 +636,7 @@ std::unique_ptr<exp::InstanceRun> restore(const std::string& data) {
     node.restore_total_moved(own.total_moved);
     node.battery().restore(own.initial, own.residual, own.consumed_transmit,
                            own.consumed_move, own.consumed_other);
-    node.neighbors().restore_entries(std::move(state.neighbors));
+    node.neighbors().restore_entries(state.neighbors);
     for (const net::FlowEntry& entry : state.flows) {
       node.flows().ensure(entry.id) = entry;
     }

@@ -5,7 +5,8 @@
 # not wrap to 2^64 - 1, "--loss -0.2" must not run a lossless sweep, and
 # a negative or NaN "--checkpoint-every-s" must not run a sweep that never
 # checkpoints. imobif_sim (SIM_BIN) must also reject a malformed labelled
-# sweep with a message that names `sweep`.
+# sweep with a message that names `sweep`, and its --print-config must
+# show --loss and --fault-seed applied, as the run uses them.
 #
 # Usage: cmake "-DBENCH_BINS=<bin>;<bin>..." -DSIM_BIN=<imobif_sim>
 #              -P bench_cli_instances.cmake
@@ -45,3 +46,19 @@ expect_rejected("${SIM_BIN}" "--instances 1 --sweep '(a) k=1 | (a) k=2'"
                 "sweep: duplicate variant \\(a\\)")
 expect_rejected("${SIM_BIN}" "--instances 1 --sweep '(a) k=1 | | (b) k=2'"
                 "sweep: empty variant in")
+
+# --print-config prints the scenario that runs, fault flags included.
+execute_process(COMMAND "${SIM_BIN}" --loss 0.3 --fault-seed 9 --print-config
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "imobif_sim --print-config failed (exit ${code}):\n${err}")
+endif()
+foreach(line IN ITEMS "loss_rate = 0.3" "fault_seed = 9" "notify_retry_cap = 6")
+  string(FIND "${out}" "\n${line}\n" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "imobif_sim --loss 0.3 --fault-seed 9 --print-config "
+                        "lacks '${line}':\n${out}")
+  endif()
+endforeach()

@@ -74,10 +74,23 @@ TEST(NeighborTable, TimeoutAdjustable) {
   EXPECT_TRUE(t.find(1, sec(90.0)).has_value());
 }
 
+/// Every stored entry, expired ones included, in storage order.
+std::vector<NeighborInfo> stored_entries(const NeighborTable& table) {
+  std::vector<NeighborInfo> out;
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    out.push_back(table.entry(k));
+  }
+  return out;
+}
+
 TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
-  // Differential check of the id-sorted flat vector against a std::map
+  // Differential check of the id-column block against a std::map
   // reference: random upserts (inserts and refreshes), finds and purges
-  // over a small id space, with the clock advancing so entries expire.
+  // over an id space of 200, with the clock advancing so entries expire.
+  // The clock alternates between slow phases, in which the table fills
+  // past several capacity doublings, and fast ones, in which purges empty
+  // it. Every 97th step the table is rebuilt from its own entries through
+  // restore_entries, and a second table restored from them must match.
   const sim::Time timeout = sec(30.0);
   NeighborTable table(timeout);
   std::map<NodeId, NeighborInfo> reference;
@@ -90,10 +103,12 @@ TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
     return x >> 33;
   };
   std::int64_t ticks = 0;
-  for (int step = 0; step < 5000; ++step) {
-    ticks += static_cast<std::int64_t>(rnd() % 2'000'000);  // < 2 s
+  std::size_t peak = 0;
+  for (int step = 0; step < 8000; ++step) {
+    const bool slow = (step / 1000) % 2 == 0;
+    ticks += static_cast<std::int64_t>(rnd() % (slow ? 20'000 : 2'000'000));
     const sim::Time now = sim::Time::from_ticks(ticks);
-    const auto id = static_cast<NodeId>(rnd() % 40);
+    const auto id = static_cast<NodeId>(rnd() % 200);
     switch (rnd() % 5) {
       case 0:
       case 1: {
@@ -121,7 +136,7 @@ TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
                       [&](const auto& kv) { return expired(kv.second, now); });
         break;
     }
-    const std::vector<NeighborInfo>& entries = table.all_entries();
+    const std::vector<NeighborInfo> entries = stored_entries(table);
     ASSERT_EQ(entries.size(), reference.size()) << "step " << step;
     ASSERT_TRUE(std::is_sorted(entries.begin(), entries.end(),
                                [](const NeighborInfo& a,
@@ -133,7 +148,25 @@ TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
       ASSERT_EQ(info.id, it->first);
       ASSERT_EQ(info.residual_energy.value(),
                 it->second.residual_energy.value());
+      ASSERT_EQ(info.position, it->second.position);
+      ASSERT_EQ(info.last_heard, it->second.last_heard);
       ++it;
+    }
+    peak = std::max(peak, entries.size());
+    if (step % 97 == 0) {
+      NeighborTable restored(timeout);
+      restored.restore_entries(entries);
+      const std::vector<NeighborInfo> again = stored_entries(restored);
+      ASSERT_EQ(again.size(), entries.size()) << "step " << step;
+      for (std::size_t k = 0; k < again.size(); ++k) {
+        ASSERT_EQ(again[k].id, entries[k].id);
+        ASSERT_EQ(again[k].position, entries[k].position);
+        ASSERT_EQ(again[k].residual_energy.value(),
+                  entries[k].residual_energy.value());
+        ASSERT_EQ(again[k].last_heard, entries[k].last_heard);
+      }
+      // The table continues on its own restored copy.
+      table.restore_entries(entries);
     }
     std::vector<NodeId> live;
     for (const NeighborInfo& info : table.snapshot(now)) {
@@ -145,6 +178,8 @@ TEST(NeighborTable, MatchesMapReferenceUnderInterleavedOps) {
     }
     ASSERT_EQ(live, want_live) << "step " << step;
   }
+  // Past the 4 -> 8 -> 16 -> 32 -> 64 doublings.
+  EXPECT_GT(peak, 64u);
 }
 
 TEST(FlowTable, GetOrCreateInitializesFromHeader) {

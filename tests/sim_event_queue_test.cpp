@@ -434,8 +434,8 @@ TEST(EventQueueFan, OutOfOrderFanFallsBackToTheHeap) {
 }
 
 TEST(EventQueueFan, ScheduledDeliveryStaysCancellable) {
-  // schedule() always uses the heap, so a directly scheduled kDeliver
-  // keeps its handle; fan deliveries beside it are untouched.
+  // schedule() never makes a fan, so a directly scheduled kDeliver keeps
+  // its handle; fan deliveries beside it are untouched.
   EventQueue q;
   q.fanout(Time::from_seconds(1.0), 0, ids(0, 2));
   const EventId direct = q.schedule(Time::from_seconds(1.0), delivery(2));
@@ -477,6 +477,78 @@ TEST(EventQueueFan, PendingExpandsAPartlyPoppedFan) {
   EXPECT_EQ(pending[2].tag.kind, EventTag::Kind::kHelloTick);
   // Enumerating left the queue as it was.
   EXPECT_EQ(drain(q), (std::vector<int>{2, 3, 10}));
+}
+
+TEST(EventQueueSorted, OutOfOrderScheduleBehindALateBackPopsInOrder) {
+  // 1, 4 and then 4 again go to the sorted FIFO; 2, 3 and 0.5 are earlier
+  // than its back and go to the heap. The pops merge both by (time, seq).
+  EventQueue q;
+  const auto at = [&q](double s, int i) {
+    q.schedule(Time::from_seconds(s), label(i));
+  };
+  at(1.0, 0);
+  at(4.0, 1);
+  at(2.0, 2);
+  at(3.0, 3);
+  at(4.0, 4);
+  at(0.5, 5);
+  EXPECT_EQ(q.next_time(), Time::from_seconds(0.5));
+  EXPECT_EQ(drain(q), (std::vector<int>{5, 0, 2, 3, 1, 4}));
+}
+
+TEST(EventQueueSorted, CancelledFifoFrontIsSkipped) {
+  EventQueue q;
+  const EventId front = q.schedule(Time::from_seconds(1.0), label(0));
+  q.schedule(Time::from_seconds(3.0), label(1));
+  q.fanout(Time::from_seconds(2.0), 0, ids(2, 1));
+  ASSERT_TRUE(q.cancel(front));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), Time::from_seconds(2.0));
+  Event ev;
+  // Nothing live is due by 1.5 s, though the cancelled front is.
+  EXPECT_FALSE(q.pop_due(Time::from_seconds(1.5), ev));
+  EXPECT_EQ(q.size(), 2u);
+  ASSERT_TRUE(q.pop_due(Time::from_seconds(2.0), ev));
+  EXPECT_EQ(label_of(ev), 2);
+  EXPECT_EQ(q.next_time(), Time::from_seconds(3.0));
+  EXPECT_EQ(drain(q), (std::vector<int>{1}));
+  EXPECT_EQ(q.next_time(), Time::infinity());
+}
+
+TEST(EventQueueSorted, EqualTimeTiesAcrossFifoHeapAndFanResolveBySeq) {
+  // At one time t: seq 0 in the sorted FIFO (whose back then moves to
+  // t + 1 with seq 1), seqs 2 and 5 on the heap, seqs 3-4 a fan.
+  EventQueue q;
+  const Time t = Time::from_seconds(1.0);
+  q.schedule(t, label(0));
+  q.schedule(t + Time::from_seconds(1.0), label(1));
+  q.schedule(t, label(2));
+  q.fanout(t, 0, ids(3, 2));
+  q.schedule(t, label(5));
+  const std::vector<Event> pending = q.pending();
+  std::vector<std::uint64_t> pending_seqs;
+  for (const Event& ev : pending) pending_seqs.push_back(ev.seq);
+  EXPECT_EQ(pending_seqs, (std::vector<std::uint64_t>{0, 2, 3, 4, 5, 1}));
+  std::vector<std::uint64_t> seqs;
+  std::vector<int> order;
+  while (!q.empty()) {
+    const Event ev = q.pop();
+    seqs.push_back(ev.seq);
+    order.push_back(label_of(ev));
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4, 5, 1}));
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 2, 3, 4, 5, 1}));
+
+  // A cancelled back, dropped by next_time(), empties the FIFO, so a later
+  // schedule at t lands there with a seq above the heap's peer at t.
+  EventQueue q2;
+  const EventId back = q2.schedule(t + Time::from_seconds(1.0), label(0));
+  q2.schedule(t, label(1));
+  ASSERT_TRUE(q2.cancel(back));
+  EXPECT_EQ(q2.next_time(), t);
+  q2.schedule(t, label(2));
+  q2.fanout(t, 0, ids(3, 1));
+  EXPECT_EQ(drain(q2), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueuePopDue, BoundaryCases) {
@@ -528,13 +600,16 @@ TEST(EventQueueDeathTest, InfinityIsNotSchedulable) {
 #endif
 
 TEST(EventQueueFan, RandomizedMixMatchesReference) {
-  // Differential check of the fan FIFO beside the heap against a
-  // reference queue, a std::multimap keyed by time (equal keys keep their
-  // insertion order, which is the seq order). The mix: fans of 0-12
-  // receivers at now + delay (the medium's shape), fans earlier than the
-  // back fan (the heap fallback), heap-scheduled kDeliver records and
-  // HELLO ticks, cancels of those, pops, and pending() taken mid-fan.
-  // Every popped (when, seq, tag) and every pending() must match.
+  // Differential check of the fan FIFO and the sorted FIFO beside the
+  // heap against a reference queue, a std::multimap keyed by time (equal
+  // keys keep their insertion order, which is the seq order). The mix:
+  // fans of 0-12 receivers at now + delay (the medium's shape), fans
+  // earlier than the back fan (the schedule() fallback), scheduled
+  // kDeliver records and HELLO ticks, re-arms at now + a fixed period
+  // (the sorted FIFO's shape) and at shorter and longer delays (either
+  // container), cancels of any of those and of spent handles, pops, and
+  // pending() and size() taken at random steps, mid-fan. Every popped
+  // (when, seq, tag) and every pending() must match.
   struct Ref {
     std::uint64_t seq;
     EventTag tag;
@@ -563,6 +638,7 @@ TEST(EventQueueFan, RandomizedMixMatchesReference) {
     };
     std::int64_t now = 0;
     constexpr std::int64_t kDelay = 5;
+    constexpr std::int64_t kPeriod = 40;
     const auto add_fan = [&](std::int64_t t) {
       const auto packet = static_cast<std::uint32_t>(rnd() % 1000);
       const std::vector<std::uint32_t> receivers =
@@ -579,7 +655,7 @@ TEST(EventQueueFan, RandomizedMixMatchesReference) {
       ++next_label;
     };
     for (int step = 0; step < 8000; ++step) {
-      const std::uint64_t op = rnd() % 12;
+      const std::uint64_t op = rnd() % 15;
       if (op <= 3 || ref.empty()) {
         add_fan(now + kDelay);
       } else if (op == 4) {
@@ -593,6 +669,15 @@ TEST(EventQueueFan, RandomizedMixMatchesReference) {
         const std::int64_t t =
             now + (rnd() % 2 == 0 ? kDelay
                                   : static_cast<std::int64_t>(rnd() % 20));
+        add_record(t, label(next_label));
+      } else if (op == 12 || op == 13) {
+        // A re-arm one period on: no earlier than the sorted FIFO's back
+        // unless a longer delay went there first.
+        add_record(now + kPeriod, label(next_label));
+      } else if (op == 14) {
+        // Shorter or longer than the period: the heap, or a new back.
+        const std::int64_t t =
+            now + static_cast<std::int64_t>(rnd() % (3 * kPeriod));
         add_record(t, label(next_label));
       } else if (op == 7 && !cancellable.empty()) {
         const std::size_t pick = rnd() % cancellable.size();
