@@ -22,24 +22,15 @@ namespace imobif::bench {
 
 /// Flags shared by every bench binary:
 ///   --instances N   flow instances per series (positional N still works)
-///   --seed S        override the scenario base seed
 ///   --jobs N        worker threads for the sweep (default 1)
 ///   --json PATH     write a BENCH_*.json artifact of the result series
-///   --loss P        injected per-delivery channel loss probability in
-///                   [0, 1]
-///   --fault-seed S  fault-injection seed (default: the scenario seed)
 ///   --checkpoint-dir D  persist per-unit results/checkpoints under D
 ///   --resume        reuse results/checkpoints found in --checkpoint-dir
 ///   --checkpoint-every-s T  checkpoint cadence in sim-seconds (default 30)
 struct BenchConfig {
   std::size_t instances = 0;
-  std::uint64_t seed = 0;
-  bool seed_set = false;
   std::size_t jobs = 1;
   std::string json_path;
-  double loss = 0.0;
-  std::uint64_t fault_seed = 0;
-  bool fault_seed_set = false;
   runtime::CheckpointOptions checkpoint;
 };
 
@@ -64,21 +55,14 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
   const util::Args args(argc, argv);
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
-              << " [N] [--instances N] [--seed S] [--jobs N] [--json PATH]"
-                 " [--loss P] [--fault-seed S]\n"
+              << " [N] [--instances N] [--jobs N] [--json PATH]\n"
                  "       [--checkpoint-dir D] [--resume]"
                  " [--checkpoint-every-s T]\n"
                  "  N / --instances  flow instances per series (default "
               << default_instances
               << ")\n"
-                 "  --seed           override the scenario base seed\n"
                  "  --jobs           worker threads (default 1)\n"
                  "  --json           write results as a JSON artifact\n"
-                 "  --loss           injected channel loss probability in "
-                 "[0, 1] (default 0,\n"
-                 "                   enables notification retries when > 0)\n"
-                 "  --fault-seed     seed for the fault injector (default: "
-                 "scenario seed)\n"
                  "  --checkpoint-dir persist per-unit results and periodic\n"
                  "                   checkpoints so a killed sweep can resume\n"
                  "  --resume         reuse files found in --checkpoint-dir\n"
@@ -94,20 +78,9 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
   } else if (!args.positional().empty()) {
     config.instances = parse_instances(args.positional().front());
   }
-  config.seed_set = args.has("seed");
-  config.seed = args.get_unsigned<std::uint64_t>("seed", 0);
   const std::int64_t jobs = args.get_int("jobs", 1);
   config.jobs = jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
   config.json_path = args.get_string("json", "");
-  config.loss = args.get_double("loss", 0.0);
-  // FaultPlan's range; checked here because apply_fault skips loss <= 0.
-  if (!(config.loss >= 0.0 && config.loss <= 1.0)) {
-    throw std::invalid_argument(
-        "Args: --loss expects a probability in [0, 1], got " +
-        args.get_string("loss"));
-  }
-  config.fault_seed_set = args.has("fault-seed");
-  config.fault_seed = args.get_unsigned<std::uint64_t>("fault-seed", 0);
   config.checkpoint.dir = args.get_string("checkpoint-dir", "");
   config.checkpoint.resume = args.get_bool("resume", false);
   config.checkpoint.every_sim_s =
@@ -120,32 +93,6 @@ inline BenchConfig parse_bench_args(int argc, char** argv,
         "got " + args.get_string("checkpoint-every-s"));
   }
   return config;
-}
-
-/// Applies the --seed override (benches keep their figure-specific
-/// defaults otherwise).
-inline void apply_seed(exp::ScenarioParams& params, const BenchConfig& config) {
-  if (config.seed_set) params.seed = config.seed;
-}
-
-/// Retry cap used whenever a bench turns loss on: enough attempts that a
-/// notification survives heavy loss (0.5^6 ~ 1.6% residual failure) while
-/// the backoff keeps the extra traffic negligible.
-inline constexpr std::uint32_t kBenchNotifyRetryCap = 6;
-
-/// Applies the --loss / --fault-seed overrides. --loss > 0 arms the
-/// injector, seeded from the scenario seed, and the notification retry
-/// machinery; --fault-seed only reseeds the injector, keeping the
-/// scenario's loss. With neither flag `params` is untouched, so every
-/// artifact stays byte-identical to a build without the fault layer.
-inline void apply_fault(exp::ScenarioParams& params,
-                        const BenchConfig& config) {
-  if (config.loss > 0.0) {
-    params.fault.loss_rate = config.loss;
-    params.fault.seed = params.seed;
-    params.notify_retry_cap = kBenchNotifyRetryCap;
-  }
-  if (config.fault_seed_set) params.fault.seed = config.fault_seed;
 }
 
 /// Accumulates medium drop counters and notification-reliability totals

@@ -1,7 +1,8 @@
 // imobif_sim: the scenario-driven experiment CLI.
 //
 // Runs a scenario under all three approaches (no mobility, cost-unaware,
-// iMobif) and prints one summary row per sweep variant. The scenario
+// iMobif) and prints one summary row per sweep variant, or prints one
+// flow's placement per variant (report = placement). The scenario
 // starts from the paper defaults with 1 MB mean flows, then takes
 // `key = value` lines from --config FILE and any scenario key given as a
 // flag (flags win). A relative mobility.trace_file in FILE names a path
@@ -11,13 +12,16 @@
 //   sweep = <label> [k=v ...] | <label> [k=v ...] | ...
 //                                 one sweep per labelled variant, each
 //                                 setting its keys over the scenario
-//   lifetime = true               stop at the first death and report
-//                                 lifetime ratios instead of energy ratios
+//   report = energy | lifetime | placement
+//                                 energy ratios (the default); lifetime
+//                                 ratios, stopping at the first death; or
+//                                 one flow's placement before and after
+//                                 cost-unaware motion settles (Fig. 5)
 //
-// Figures 6-8, every one-axis ablation, the mobility x traffic grid and
+// Figures 5-8, every one-axis ablation, the mobility x traffic grid and
 // the lossy-channel sweep are committed confs under examples/scenarios/.
-// Each variant reports its two ratios and, from the iMobif run, its
-// notifications, retries, applied notifications and moved distance:
+// Each compared variant reports its two ratios and, from the iMobif run,
+// its notifications, retries, applied notifications and moved distance:
 //
 //   $ ./imobif_sim --config examples/scenarios/fig6_energy.conf --instances 40
 //   $ ./imobif_sim --config fig8_lifetime.conf --jobs 4 --json out.json
@@ -33,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "exp/scenario_io.hpp"
+#include "geom/segment.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/config.hpp"
 
@@ -46,15 +51,17 @@ constexpr const char* kUsage =
     "                   as a flag, e.g. --k 0.1 --strategy max-lifetime\n"
     "  --sweep K=V1,V2  run the scenario once per value of key K, or\n"
     "                   once per variant of 'LABEL K=V ... | LABEL ...'\n"
-    "  --lifetime       lifetime experiment (stop at first death)\n"
-    "  --csv FILE       also write per-instance rows as CSV\n"
+    "  --report R       energy (default), lifetime (stop at first death)\n"
+    "                   or placement (Fig. 5: one flow, before and after)\n"
+    "  --csv FILE       also write per-instance rows as CSV (energy and\n"
+    "                   lifetime reports)\n"
     "  --print-config   dump the effective scenario and exit\n";
 
-// Flags that configure the run rather than the scenario. `seed` is not
-// one of them: it reaches the scenario as an ordinary scenario key.
+// Flags that configure the run rather than the scenario. Everything else,
+// `seed` and the fault keys included, is a scenario key.
 constexpr std::string_view kRunFlags[] = {
     "config", "csv", "print-config", "help", "instances", "jobs", "json",
-    "loss", "fault-seed", "checkpoint-dir", "resume", "checkpoint-every-s"};
+    "checkpoint-dir", "resume", "checkpoint-every-s"};
 
 bool is_run_flag(const std::string& key) {
   return std::find(std::begin(kRunFlags), std::end(kRunFlags), key) !=
@@ -176,6 +183,68 @@ void print_ratio_plot(const std::vector<double>& cost_unaware,
   std::cout << util::render_scatter({cu, in}, opts);
 }
 
+// A variant's JSON series are named `<label> <series>`, or just
+// `<series>` when there is no sweep.
+std::string series_prefix(const Variant& variant) {
+  return variant.label.empty() ? "" : variant.label + " ";
+}
+
+// Prints the flow's path nodes before or after the run, and how far its
+// relays sit off the source-destination line.
+void print_placement(const std::string& title,
+                     const exp::PlacementSnapshot& snap,
+                     bool final_positions) {
+  util::Table table(
+      {"node", "x (m)", "y (m)", "energy (J)", "hop to next (m)"});
+  const auto& pos =
+      final_positions ? snap.final_positions : snap.initial_positions;
+  const auto& energy =
+      final_positions ? snap.final_energies : snap.initial_energies;
+  for (std::size_t i = 0; i < snap.path.size(); ++i) {
+    const double hop =
+        i + 1 < pos.size() ? geom::distance(pos[i], pos[i + 1]) : 0.0;
+    table.add_row({std::to_string(snap.path[i]),
+                   util::Table::num(pos[i].x, 5),
+                   util::Table::num(pos[i].y, 5),
+                   util::Table::num(energy[i].value(), 4),
+                   i + 1 < pos.size() ? util::Table::num(hop, 4) : "-"});
+  }
+  std::cout << "\n--- " << title << " ---\n";
+  table.print(std::cout);
+
+  const geom::Segment line{pos.front(), pos.back()};
+  double worst = 0.0;
+  for (std::size_t i = 1; i + 1 < pos.size(); ++i) {
+    worst = std::max(worst, line.distance_to(pos[i]));
+  }
+  std::cout << "max relay distance from source-dest line: "
+            << util::Table::num(worst, 4) << " m   path tortuosity: "
+            << util::Table::num(geom::tortuosity(pos.data(), pos.size()), 6)
+            << "\n";
+}
+
+// Fig. 5: one flow per variant under cost-unaware motion, which moves
+// unconditionally, run long enough to reach its steady state. Each
+// variant prints both placements and reports the path's final energies.
+void run_placements(const Sweep& sweep, runtime::SweepReport& report,
+                    bench::FaultCounters& totals) {
+  exp::RunOptions options;
+  options.horizon_factor = 6.0;
+  for (const Variant& variant : sweep.variants) {
+    const exp::PlacementSnapshot snap = exp::run_placement(
+        variant.params, core::MobilityMode::kCostUnaware, options);
+    const std::string label = variant.label.empty() ? "base" : variant.label;
+    print_placement(label + " original placement", snap, false);
+    print_placement(label + " steady state", snap, true);
+    std::vector<double> energies;
+    for (const util::Joules e : snap.final_energies) {
+      energies.push_back(e.value());
+    }
+    report.add_series(series_prefix(variant) + "final_energies", energies);
+    totals.add(snap.run);
+  }
+}
+
 int run(int argc, char** argv) {
   const bench::BenchConfig config =
       bench::parse_bench_args(argc, argv, 20, kUsage);
@@ -200,10 +269,15 @@ int run(int argc, char** argv) {
     if (!is_run_flag(key)) merged.set(key, args.get_string(key));
   }
   const std::string sweep_text = merged.get_string("sweep");
-  const bool lifetime = merged.get_bool("lifetime", false);
+  const std::string report_name = merged.get_string("report", "energy");
+  if (report_name != "energy" && report_name != "lifetime" &&
+      report_name != "placement") {
+    throw std::invalid_argument(
+        "report: expected energy, lifetime or placement, got " + report_name);
+  }
   util::Config scenario;
   for (const std::string& key : merged.keys()) {
-    if (key != "sweep" && key != "lifetime") {
+    if (key != "sweep" && key != "report") {
       scenario.set(key, merged.get_string(key));
     }
   }
@@ -220,26 +294,40 @@ int run(int argc, char** argv) {
       throw std::invalid_argument("sweep: variant " + variant.label + ": " +
                                   err.what());
     }
-    bench::apply_fault(variant.params, config);
     variant.params.validate();
   }
 
   if (args.get_bool("print-config")) {
-    // The scenario as it runs: --loss and --fault-seed apply to every
-    // variant, so show them applied.
-    exp::ScenarioParams effective = base;
-    bench::apply_fault(effective, config);
-    std::cout << exp::to_config_string(effective);
-    if (lifetime) std::cout << "lifetime = true\n";
+    const std::string text = exp::to_config_string(base);
+    std::cout << text;
+    // The base's text leaves out the keys of a model it keeps off, but a
+    // sweep variant that turns the model on reads them.
+    const util::Config printed = util::Config::from_string(text);
+    for (const std::string& key : scenario.keys()) {
+      if (!printed.has(key)) {
+        std::cout << key << " = " << scenario.get_string(key) << "\n";
+      }
+    }
+    std::cout << "report = " << report_name << "\n";
     if (!sweep_text.empty()) std::cout << "sweep = " << sweep_text << "\n";
     return 0;
   }
 
   const std::string bench_name =
       args.has("config") ? conf.stem().string() : "imobif_sim";
-  const std::string metric = lifetime ? "lifetime" : "energy";
   runtime::SweepReport report(bench_name);
-  bench::print_header(bench_name + " - " + metric +
+  bench::FaultCounters totals;
+  if (report_name == "placement") {
+    bench::print_header(bench_name +
+                        " - flow placement before and after cost-unaware "
+                        "motion settles");
+    run_placements(sweep, report, totals);
+    totals.export_to(report);
+    bench::export_report(report, config, stopwatch);
+    return 0;
+  }
+  const bool lifetime = report_name == "lifetime";
+  bench::print_header(bench_name + " - " + report_name +
                       " ratio vs no-mobility, " +
                       std::to_string(config.instances) +
                       " instances per row");
@@ -255,7 +343,6 @@ int run(int argc, char** argv) {
                     "imobif", "notifications"});
   exp::RunOptions options;
   options.stop_on_first_death = lifetime;
-  bench::FaultCounters totals;
   for (const Variant& variant : sweep.variants) {
     const auto points = bench::run_comparison(variant.params, config, options);
     totals.add(points);
@@ -298,7 +385,7 @@ int run(int argc, char** argv) {
                     util::Table::num(ri),
                     std::to_string(pt.informed.notifications)});
     }
-    const std::string name = variant.label.empty() ? "" : variant.label + " ";
+    const std::string name = series_prefix(variant);
     const std::string ratio = name + (lifetime ? "lifetime_" : "") + "ratio_";
     report.add_series(ratio + "cost_unaware", cu_ratios);
     report.add_series(ratio + "informed", in_ratios);
@@ -307,7 +394,7 @@ int run(int argc, char** argv) {
     report.add_series(name + "notifications_applied", applied);
     report.add_series(name + "moved_distance_m", moved_m);
     print_ratio_plot(cu_ratios, in_ratios,
-                     bench_name + " " + label + " - " + metric + " ratio",
+                     bench_name + " " + label + " - " + report_name + " ratio",
                      lifetime);
     const std::string of_n = "/" + std::to_string(points.size());
     table.add_row({label, util::Table::num(cu.mean()),

@@ -1,8 +1,8 @@
 // Golden regression gate for the figures, the mobility grid and the
-// lossy-channel sweep: fig5, and the fig6, fig8, mobility_sweep and
-// ext_lossy confs through imobif_sim (fig7 is fig6's "(c) notifications"
-// series), each run at --instances 4, must reproduce the committed
-// baseline byte for byte.
+// lossy-channel sweep: the fig5, fig6, fig8, mobility_sweep and ext_lossy
+// confs through imobif_sim (fig7 is fig6's "(c) notifications" series),
+// each run at --instances 4, must reproduce the committed baseline byte
+// for byte.
 //
 // The repo's house invariant is that refactors of the simulator core —
 // grid-only neighbor discovery, SoA node state, batched event draining
@@ -39,7 +39,7 @@ std::vector<FigureBench> figure_benches() {
   const std::string sim = std::string(IMOBIF_SIM_BIN) + " --config " +
                           IMOBIF_SCENARIO_DIR + "/";
   return {
-      {"fig5_placement", IMOBIF_FIG5_BIN, "BENCH_fig5_i4.json"},
+      {"fig5_placement", sim + "fig5_placement.conf", "BENCH_fig5_i4.json"},
       {"fig6_energy", sim + "fig6_energy.conf", "BENCH_fig6_i4.json"},
       // Three workers split an instance's mode runs across threads.
       {"fig6_energy_jobs3", sim + "fig6_energy.conf --jobs 3",
